@@ -44,9 +44,10 @@
 //! * paced capacity is calibrated per mix from a short closed-loop run on
 //!   the stealing path, and the resulting arrival rate is recorded in the
 //!   entry (`arrival_per_sec`);
-//! * all cells share one process, so the deterministic key/dataset/
-//!   signature caches are warm for everyone after the first few sessions
-//!   — exactly the steady state an always-on service runs in;
+//! * all cells share one process, so the deterministic key and data-set
+//!   caches are warm for everyone after the first few sessions — exactly
+//!   the steady state an always-on service runs in (protocol signatures
+//!   are computed fresh in every session);
 //! * `rss_mb` is the process resident set after the cell (from
 //!   `/proc/self/statm`; zero where unavailable), a coarse memory-wall
 //!   indicator across the batch sweep.
@@ -474,8 +475,8 @@ fn calibrate_capacity(cfg: &ServiceBenchConfig, mix: &'static str) -> Result<f64
     Ok(n as f64 * 1e9 / d.elapsed_ns as f64)
 }
 
-/// Warms the process-wide deterministic caches (RSA keys, datasets,
-/// signatures) for both session shapes so the first timed cell measures
+/// Warms the process-wide deterministic caches (seeded RSA keys and
+/// data sets) for both session shapes so the first timed cell measures
 /// the same steady state as the last — cells are single timed streams, so
 /// unlike a min-of-reps harness nothing else hides the warmup.
 fn warm_caches(cfg: &ServiceBenchConfig) -> Result<(), String> {

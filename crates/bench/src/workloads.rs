@@ -45,8 +45,8 @@ pub fn quantized_rates(m: usize, lo: f64, hi: f64, seed: u64, denom: u32) -> Vec
         .collect()
 }
 
-/// Warms the process-wide deterministic protocol caches (RSA keys,
-/// datasets, signatures) by running every given session `reps` times on
+/// Warms the process-wide deterministic protocol caches (seeded RSA keys
+/// and user-signed data sets) by running every given session `reps` times on
 /// the event-driven executor before anything is timed. Shared by the
 /// sessions, service and multiload harnesses so each protocol-level
 /// bench measures the same steady state from its first cell — for

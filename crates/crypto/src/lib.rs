@@ -22,7 +22,7 @@
 //! * [`pki`] — the registry mapping participant identities to public keys
 //!   plus the [`pki::Signed`] envelope (`S_β(m) = (m, SIG_β(m))`).
 //! * [`ctx`] — per-key Montgomery contexts (built once at key generation,
-//!   reused for every modexp) and the per-session verification cache that
+//!   reused for every modexp; per prime for CRT signing) and the per-session verification cache that
 //!   amortizes envelope verification across receivers.
 //!
 //! ## Substitution note (see DESIGN.md)
@@ -44,6 +44,6 @@ pub mod prime;
 pub mod rsa;
 pub mod sha256;
 
-pub use ctx::{SignCtx, VerifyCache, VerifyCtx};
+pub use ctx::{VerifyCache, VerifyCtx};
 pub use pki::{KeyPair, Registry, Signed, SignatureError};
 pub use sha256::Sha256;

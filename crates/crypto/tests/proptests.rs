@@ -13,6 +13,8 @@
 
 use dls_crypto::canon;
 use dls_crypto::pki::{is_equivocation, KeyPair, Registry};
+use dls_crypto::rsa::{self, PublicKey, SecretKey};
+use dls_crypto::sha256;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,6 +37,19 @@ fn fixtures() -> &'static (KeyPair, KeyPair, Registry) {
         let b = KeyPair::generate("B", 384, &mut rng).unwrap();
         let reg = Registry::from_keypairs([&a, &b]);
         (a, b, reg)
+    })
+}
+
+/// Raw RSA keys for the CRT differential: a balanced 384-bit modulus and
+/// an unbalanced 385-bit one (primes of 192 and 193 bits).
+fn raw_keys() -> &'static [(PublicKey, SecretKey)] {
+    static CELL: OnceLock<Vec<(PublicKey, SecretKey)>> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(2025);
+        [384, 385]
+            .into_iter()
+            .map(|bits| rsa::generate(bits, &mut rng).unwrap())
+            .collect()
     })
 }
 
@@ -90,6 +105,17 @@ proptest! {
         let s1 = a.sign(p.clone()).unwrap();
         let s2 = a.sign(q.clone()).unwrap();
         prop_assert_eq!(is_equivocation(&s1, &s2, reg), p != q);
+    }
+
+    #[test]
+    fn crt_signature_matches_naive_oracle(p in arb_payload()) {
+        let digest = sha256::digest(&canon::to_bytes(&p).unwrap());
+        for (pk, sk) in raw_keys() {
+            let fast = sk.sign_digest(&digest);
+            prop_assert_eq!(&fast, &sk.sign_digest_naive(&digest));
+            prop_assert!(pk.verify_digest(&digest, &fast));
+            prop_assert!(pk.verify_digest_naive(&digest, &fast));
+        }
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub const ALL_RULES: &[(&str, &str)] = &[
          (protocol/src/{runtime,referee,ledger,messages,fault,config,\
          executor,sched,service,multiload}.rs, \
          mechanism/src/{engine,batch,multiload}.rs, dlt/src/multiload.rs, \
-         bench/src/{throughput,sessions,service,multiload}.rs); a malformed \
-         message must \
+         bench/src/{throughput,sessions,service,multiload}.rs, \
+         crypto/src/rsa.rs); a malformed message must \
          yield a typed error, not a crashed session (Lemma 5.1)",
     ),
     (
@@ -138,7 +138,10 @@ pub fn float_rule_applies(rel_path: &str) -> bool {
 /// (`dlt/src/multiload.rs`, `mechanism/src/multiload.rs`,
 /// `protocol/src/multiload.rs`, `bench/src/multiload.rs`) qualifies end to
 /// end: one k-load session splices k chains per bid update, so a panic in
-/// any layer aborts every in-flight load of the session at once.
+/// any layer aborts every in-flight load of the session at once. RSA
+/// (`crypto/src/rsa.rs`) rides along because every service worker signs
+/// with it: CRT signing runs inside the worker loop, so it must not be
+/// able to panic either.
 pub fn panic_rule_applies(rel_path: &str) -> bool {
     matches!(
         rel_path,
@@ -161,6 +164,7 @@ pub fn panic_rule_applies(rel_path: &str) -> bool {
             | "crates/mechanism/src/multiload.rs"
             | "crates/protocol/src/multiload.rs"
             | "crates/bench/src/multiload.rs"
+            | "crates/crypto/src/rsa.rs"
     )
 }
 

@@ -40,10 +40,10 @@
 //!   processor would derive identically from broadcast data (the agreed
 //!   bid vector, α, the base payment vector) are computed once and
 //!   shared, which cannot change a single bit of any output;
-//! * RSA signing is deterministic in (key, message), so the per-setup
-//!   signature cache reconstructs byte-identical envelopes, and the
-//!   user-signed data set is deterministic in `(seed, key_bits, blocks)`
-//!   so it is prepared once per setup and shared.
+//! * both paths sign every envelope with [`KeyPair::sign`], which is
+//!   deterministic in (key, message), and the user-signed data set is
+//!   deterministic in `(seed, key_bits, blocks)` so it is prepared once
+//!   per setup and shared.
 //!
 //! Two documented divergences, both outside builder-valid configurations:
 //! a `DelayAt` at or beyond the phase budget (the builder rejects it) has
@@ -71,17 +71,12 @@ use dls_crypto::pki::{KeyPair, Registry};
 use dls_crypto::{Signed, VerifyCache};
 use dls_dlt::BusParams;
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
-// Deterministic per-setup caches
+// Deterministic per-setup data-set cache
 // ---------------------------------------------------------------------------
-
-/// Entries kept in the signature cache before it is wholesale cleared (a
-/// bound, not an LRU: the working set of a scenario sweep is far smaller).
-const SIG_CACHE_CAP: usize = 1 << 16;
 
 /// Process-wide cache of user-signed data sets keyed by
 /// `(seed, key_bits, blocks)`. [`DataSet::prepare`] is deterministic in
@@ -114,43 +109,6 @@ pub(crate) fn dataset_cached(
         .get_or_insert_with(Cache::new)
         .insert((seed, key_bits, blocks), Arc::clone(&ds));
     Ok(ds)
-}
-
-/// Deterministic cached signing. RSA signing here is hash-then-modexp with
-/// a fixed exponent — no randomized padding — so the signature over a given
-/// canonical body under a given key is a pure function. The cache maps
-/// `(identity, key_bits, seed, sha256(canonical body))` to the raw
-/// signature bytes; a hit reconstructs the envelope via [`Signed::forge`]
-/// with the *genuine* bytes, which is bit-identical to re-signing and
-/// verifies like any honestly signed message.
-fn sign_cached<T: Serialize>(
-    key: &KeyPair,
-    key_bits: usize,
-    seed: u64,
-    body: T,
-) -> Result<Signed<T>, RunError> {
-    type SigCache = BTreeMap<(String, usize, u64, [u8; 32]), Vec<u8>>;
-    static SIGS: Mutex<Option<SigCache>> = Mutex::new(None);
-
-    let bytes =
-        dls_crypto::canon::to_bytes(&body).map_err(|e| RunError::Crypto(e.to_string()))?;
-    let digest = dls_crypto::sha256::digest(&bytes);
-    let cache_key = (key.identity().to_string(), key_bits, seed, digest);
-    if let Some(sig) = SIGS
-        .lock()
-        .get_or_insert_with(SigCache::new)
-        .get(&cache_key)
-    {
-        return Ok(Signed::forge(body, key.identity().to_string(), sig.clone()));
-    }
-    let signed = key.sign(body).map_err(|e| RunError::Crypto(e.to_string()))?;
-    let mut guard = SIGS.lock();
-    let cache = guard.get_or_insert_with(SigCache::new);
-    if cache.len() >= SIG_CACHE_CAP {
-        cache.clear();
-    }
-    cache.insert(cache_key, signed.signature().0.clone());
-    Ok(signed)
 }
 
 // ---------------------------------------------------------------------------
@@ -714,8 +672,6 @@ pub(crate) fn run_round_vm(
     let z = cfg.z;
     let blocks_total = cfg.blocks;
     let budget_ms = cfg.phase_budget_ms;
-    let key_bits = cfg.key_bits;
-    let seed = cfg.seed;
 
     // Split the scratch arena so the transport can hold its buffers for
     // the whole round while barriers borrow the event queue independently.
@@ -759,7 +715,7 @@ pub(crate) fn run_round_vm(
         });
     }
 
-    let sign_err = |e: RunError| e;
+    let sign_err = |e: dls_crypto::pki::SignatureError| RunError::Crypto(e.to_string());
     let finish = |machines: Vec<ProcMachine>,
                   rr: RefResult,
                   net: VmNet<'_>,
@@ -783,16 +739,13 @@ pub(crate) fn run_round_vm(
                 .at_phase(Phase::Bidding),
             )
         })?;
-        let first = sign_cached(
-            &p.key,
-            key_bits,
-            seed,
-            BidBody {
+        let first = p
+            .key
+            .sign(BidBody {
                 processor: p.i,
                 bid: my_bid,
-            },
-        )
-        .map_err(sign_err)?;
+            })
+            .map_err(sign_err)?;
         match faulted_send(&p.cfg.fault, Phase::Bidding, p.i, Msg::Bid(first.clone())) {
             Some(garbage @ Msg::Garbage { .. }) => net.broadcast(p.i, garbage),
             Some(msg) => {
@@ -800,15 +753,13 @@ pub(crate) fn run_round_vm(
                 net.broadcast(p.i, msg);
                 match p.cfg.behavior {
                     Behavior::EquivocateBids { factor } => {
-                        let second = sign_cached(
-                            &p.key,
-                            key_bits,
-                            seed,
-                            BidBody {
+                        let second = p
+                            .key
+                            .sign(BidBody {
                                 processor: p.i,
                                 bid: my_bid * factor,
-                            },
-                        )?;
+                            })
+                            .map_err(sign_err)?;
                         net.broadcast(p.i, Msg::Bid(second));
                     }
                     Behavior::ForgeExtraBid { impersonate } => {
@@ -946,7 +897,7 @@ pub(crate) fn run_round_vm(
                     }
                     _ => {}
                 }
-                let grant = sign_cached(&p.key, key_bits, seed, GrantBody { to, blocks })?;
+                let grant = p.key.sign(GrantBody { to, blocks }).map_err(sign_err)?;
                 if let Some(msg) =
                     faulted_send(&p.cfg.fault, Phase::Allocating, p.i, Msg::Grant(grant))
                 {
@@ -1142,12 +1093,10 @@ pub(crate) fn run_round_vm(
                 entry.compensation *= factor;
             }
         }
-        let pv = sign_cached(
-            &p.key,
-            key_bits,
-            seed,
-            PaymentVectorBody { processor: p.i, q },
-        )?;
+        let pv = p
+            .key
+            .sign(PaymentVectorBody { processor: p.i, q })
+            .map_err(sign_err)?;
         if let Some(msg) = faulted_send(&p.cfg.fault, Phase::Payments, p.i, Msg::PaymentVector(pv))
         {
             net.to_referee(p.i, msg);
@@ -1535,22 +1484,6 @@ mod tests {
             let threaded = run_session(&naive).expect("per-receiver threaded");
             outcomes_equal(&threaded, &b);
         }
-    }
-
-    #[test]
-    fn sign_cached_reconstructs_identical_envelopes() {
-        let mut keys =
-            generate_keys_cached(&["P1".to_string()], MIN_MODULUS_BITS, 99).expect("keys");
-        let key = keys.pop().expect("one key");
-        let body = BidBody {
-            processor: 0,
-            bid: 2.5,
-        };
-        let a = sign_cached(&key, MIN_MODULUS_BITS, 99, body.clone()).expect("first sign");
-        let b = sign_cached(&key, MIN_MODULUS_BITS, 99, body).expect("cached sign");
-        assert_eq!(a, b);
-        let registry = Registry::from_keypairs(std::iter::once(&key));
-        assert!(b.verify(&registry).is_ok());
     }
 
     #[test]
