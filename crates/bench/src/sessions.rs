@@ -2,7 +2,7 @@
 //!
 //! One cell = (market size `m`) × (batch of independent sessions) × path:
 //!
-//! * **`"threaded"`** — the oracle runtime
+//! * **`"threaded"`** — the threaded runtime
 //!   ([`dls_protocol::runtime::run_session`]): m+1 OS threads per session
 //!   parked on condvar phase barriers, real `thread::sleep` for injected
 //!   delays, run sequentially over the batch.

@@ -22,7 +22,7 @@
 //! * **determinism** — no wall-clock reads, sleeps or unordered
 //!   `HashMap`/`HashSet` in the declared virtual-time and
 //!   canonical-encoding modules.
-//! * **state-machine** — the executor's `ProcessorState`/`RefereeState`
+//! * **state-machine** — the round's `ProcessorState`/`RefereeState`
 //!   transition graphs must match the declared phase-order spec.
 //! * **lock-order** — `Mutex`/`Condvar` acquisition nesting across the
 //!   threaded runtime must be cycle-free.

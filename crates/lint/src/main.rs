@@ -53,8 +53,8 @@ fn main() -> ExitCode {
                      crate-hygiene.\n\
                      Cross-file passes: determinism (wall-clock/unordered \
                      collections in virtual-time modules), state-machine \
-                     (executor phase-order spec), lock-order (deadlock \
-                     cycles in the threaded oracle), unchecked-arith (bare \
+                     (round phase-order spec), lock-order (deadlock \
+                     cycles in the threaded runtime), unchecked-arith (bare \
                      operators in the bignum limb kernels).\n\
                      Suppress a finding with `// dls-lint: allow(<rule>) -- <reason>`;\n\
                      --baseline accepts findings listed in a lint_baseline.json."

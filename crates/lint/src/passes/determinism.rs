@@ -14,7 +14,7 @@
 //!   a message sequence — `RandomState` hashing makes the order differ
 //!   *between processes*, so two honest runs sign different bytes.
 //!
-//! The threaded oracle (`runtime.rs`) legitimately reads real deadlines for
+//! The threaded driver (`runtime.rs`) legitimately reads real deadlines for
 //! its phase barriers and sleeps to model injected delay faults; those
 //! sites carry mandatory-reason suppressions rather than being scoped out,
 //! so any *new* wall-clock read there needs a written justification too.
@@ -27,6 +27,7 @@ use crate::SourceFile;
 /// executor and everything whose outputs feed canonical (signed) bytes.
 const WALLCLOCK_SCOPE_FILES: &[&str] = &[
     "crates/protocol/src/executor.rs",
+    "crates/protocol/src/round.rs",
     "crates/protocol/src/sched.rs",
     "crates/protocol/src/runtime.rs",
     "crates/protocol/src/service.rs",

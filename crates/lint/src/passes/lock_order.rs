@@ -1,4 +1,4 @@
-//! Lock-order pass: static deadlock-freedom for the threaded oracle.
+//! Lock-order pass: static deadlock-freedom for the threaded runtime.
 //!
 //! The threaded runtime's phase barriers (`PhaseBarrier` = one `Mutex` +
 //! `Condvar`) and the shared caches only stay deadlock-free as long as no
@@ -31,6 +31,7 @@ use crate::SourceFile;
 const SCOPE: &[&str] = &[
     "crates/protocol/src/runtime.rs",
     "crates/protocol/src/executor.rs",
+    "crates/protocol/src/round.rs",
     "crates/protocol/src/service.rs",
     "crates/protocol/src/supervisor.rs",
 ];

@@ -9,10 +9,10 @@
 //!   the *same* allocation and payments from the same bids; wall-clock
 //!   reads, sleeps and unordered-collection iteration are one edit away
 //!   from breaking that silently.
-//! * [`state_machine`] — the executor's phase order (Bidding → … → Done)
-//!   is the protocol itself; an undeclared transition is a protocol bug
-//!   even when no current test drives it.
-//! * [`lock_order`] — the threaded oracle's phase barriers must stay
+//! * [`state_machine`] — the round machines' phase order (Bidding → … →
+//!   Done) is the protocol itself; an undeclared transition is a protocol
+//!   bug even when no current test drives it.
+//! * [`lock_order`] — the threaded runtime's phase barriers must stay
 //!   deadlock-free or the deadline semantics the virtual executor mirrors
 //!   stop meaning anything.
 //! * [`arith`] — exact payment agreement is only as sound as the bignum

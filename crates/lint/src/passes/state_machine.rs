@@ -1,30 +1,30 @@
-//! State-machine pass: the executor's transition graphs vs. the declared
-//! phase-order spec.
+//! State-machine pass: the round machines' transition graphs vs. the
+//! declared phase-order spec.
 //!
 //! The protocol *is* its phase order — Bidding → AwaitBidVerdict →
 //! Allocating → … → Done, with Crashed/Defaulted reachable from anywhere
-//! (faults) and Halted only out of a verdict wait. The event-driven
-//! executor encodes that order as `state = …` assignments scattered over a
-//! ~600-line round function; the multi-load extensions on the roadmap will
-//! multiply them. This pass re-derives the transition graph from the token
-//! stream and diffs it against the spec below, so an illegal edge (say,
-//! Processing → Done skipping settlement) fails the tier-1 gate even
-//! before any test drives it.
+//! (faults) and Halted only out of a verdict wait. `round.rs` encodes that
+//! order as `state = …` assignments spread over one step method per
+//! schedule step, and both session drivers (the event-driven executor and
+//! the threaded runtime) step those machines. This pass re-derives the
+//! transition graph from the token stream and diffs it against the spec
+//! below, so an illegal edge (say, Processing → Done skipping settlement)
+//! fails the tier-1 gate even before any test drives it.
 //!
 //! ## Extraction heuristics
 //!
 //! Single-file, lexical, no type information — and still exact for the
-//! shape `executor.rs` uses:
+//! shape `round.rs` uses:
 //!
 //! * The **from-state context** inside a function is tracked through
 //!   comparisons: `state == Enum::V` and the guard form
 //!   `if state != Enum::V { continue/return }` both pin the context to
-//!   `V`; a `!=` comparison whose block *does* something (the
-//!   `vm_barrier` default path) resets the context to *unknown*.
+//!   `V`; a `!=` comparison whose block *does* something (the deadline
+//!   removal path) resets the context to *unknown*.
 //! * An assignment `state = Enum::V` records the edge `context → V`.
-//!   Assignments to non-terminal states update the context (the round
-//!   function chains phases in one loop body); terminal states do not
-//!   (their arms `continue`).
+//!   Assignments to non-terminal states update the context (one step
+//!   method can chain phases); terminal states do not (their arms
+//!   `return`).
 //! * Edges from an *unknown* context are legal only into the declared
 //!   accept-from-any sinks (Crashed, Defaulted).
 //! * `advance_referee(&mut s, Enum::From, Enum::To)` calls yield referee
@@ -36,8 +36,8 @@ use crate::lexer::TokenKind;
 use crate::rules::STATE_MACHINE;
 use crate::SourceFile;
 
-/// The file this pass validates.
-const EXECUTOR: &str = "crates/protocol/src/executor.rs";
+/// The file this pass validates: where both round machines live.
+const MACHINES: &str = "crates/protocol/src/round.rs";
 
 /// Declared processor machine: states in enum order.
 const PROC_STATES: &[&str] = &[
@@ -87,7 +87,7 @@ const REF_EDGES: &[(&str, &str)] = &[
 
 /// `true` when the pass evaluates in `rel`.
 pub fn in_scope(rel: &str) -> bool {
-    rel == EXECUTOR
+    rel == MACHINES
 }
 
 /// An observed transition: `from == None` means the context was statically
@@ -99,7 +99,7 @@ struct Edge {
     col: usize,
 }
 
-/// Runs the pass; returns `true` when the executor file was in the
+/// Runs the pass; returns `true` when the machines' file was in the
 /// snapshot (the gate separately asserts it activates on the workspace).
 pub(crate) fn run(files: &[SourceFile], out: &mut Vec<(usize, Diagnostic)>) -> bool {
     let Some((idx, sf)) = files.iter().enumerate().find(|(_, f)| in_scope(&f.rel)) else {
@@ -205,7 +205,7 @@ fn check_machine(
                 spec.enum_name, sf.rel
             ),
             "the pass spec in crates/lint/src/passes/state_machine.rs names this \
-             enum; update the spec together with the executor",
+             enum; update the spec together with the round machines",
         );
         return;
     };

@@ -30,7 +30,7 @@ pub const UNUSED_SUPPRESSION: &str = "unused-suppression";
 /// Cross-file rule: wall-clock reads, sleeps and unordered collections are
 /// forbidden in the declared deterministic modules.
 pub const DETERMINISM: &str = "determinism";
-/// Cross-file rule: the executor's state machines must match the declared
+/// Cross-file rule: the round's state machines must match the declared
 /// phase-order spec.
 pub const STATE_MACHINE: &str = "state-machine";
 /// Cross-file rule: lock acquisition nesting must be cycle-free.
@@ -51,7 +51,7 @@ pub const ALL_RULES: &[(&str, &str)] = &[
         NO_PANIC_IN_PROTOCOL,
         "unwrap()/expect()/panic!/unreachable!/todo!/unimplemented! and \
          slice indexing are forbidden in protocol hot paths \
-         (protocol/src/{runtime,referee,ledger,messages,fault,config,\
+         (protocol/src/{runtime,round,referee,ledger,messages,fault,config,\
          executor,sched,service,multiload}.rs, \
          mechanism/src/{engine,batch,multiload}.rs, dlt/src/multiload.rs, \
          bench/src/{throughput,sessions,service,multiload}.rs, \
@@ -73,7 +73,7 @@ pub const ALL_RULES: &[(&str, &str)] = &[
     ),
     (
         STATE_MACHINE,
-        "every `state = ...` transition in the executor must be an edge of \
+        "every `state = ...` transition in the round machines must be an edge of \
          the declared phase-order spec (Bidding -> ... -> Done, with \
          Crashed/Defaulted as accept-from-any sinks), and every declared \
          state must be reachable",
@@ -127,7 +127,8 @@ pub fn float_rule_applies(rel_path: &str) -> bool {
 /// lets a deviant bid crash the auctioneer mid-round. The fault/degradation
 /// modules (`fault.rs`, `config.rs`) qualify for the same reason inverted:
 /// the layer that turns crashes into typed reports must not itself panic.
-/// The event-driven executor (`executor.rs`, `sched.rs`) multiplexes many
+/// The round machines (`round.rs`) run inside every session driver, and
+/// the event-driven executor (`executor.rs`, `sched.rs`) multiplexes many
 /// sessions on one thread, so a panic there takes down every session in the
 /// shard, not just the faulty one; the sessions sweep rides along because it
 /// drives both paths from benchmark binaries that must report, not abort.
@@ -146,6 +147,7 @@ pub fn panic_rule_applies(rel_path: &str) -> bool {
     matches!(
         rel_path,
         "crates/protocol/src/runtime.rs"
+            | "crates/protocol/src/round.rs"
             | "crates/protocol/src/referee.rs"
             | "crates/protocol/src/ledger.rs"
             | "crates/protocol/src/messages.rs"

@@ -81,14 +81,14 @@ fn determinism_lookalikes_stay_clean() {
 
 #[test]
 fn state_machine_accepts_the_declared_graph() {
-    let report = run("crates/protocol/src/executor.rs", "sm_clean.rs");
+    let report = run("crates/protocol/src/round.rs", "sm_clean.rs");
     assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
     assert!(report.passes_run.contains(&"state-machine"));
 }
 
 #[test]
 fn state_machine_flags_undeclared_variant_edge_and_wildcard() {
-    let report = run("crates/protocol/src/executor.rs", "sm_bad.rs");
+    let report = run("crates/protocol/src/round.rs", "sm_bad.rs");
     let msgs: Vec<&str> = report.diagnostics.iter().map(|d| d.message.as_str()).collect();
     assert_eq!(msgs.len(), 4, "{msgs:#?}");
     assert!(msgs.iter().any(|m| m.contains("`ProcessorState::Zombie` is not in the declared")));
@@ -100,17 +100,17 @@ fn state_machine_flags_undeclared_variant_edge_and_wildcard() {
 
 #[test]
 fn state_machine_suppressions_cover_and_count() {
-    let report = run("crates/protocol/src/executor.rs", "sm_suppressed.rs");
+    let report = run("crates/protocol/src/round.rs", "sm_suppressed.rs");
     assert!(report.diagnostics.is_empty(), "{:#?}", report.diagnostics);
     assert_eq!(report.suppressed, 4);
 }
 
 #[test]
 fn state_machine_flags_missing_enum() {
-    // A file at the executor path without the declared enums is a spec
+    // A file at the machines' path without the declared enums is a spec
     // violation, not a silent skip.
     let report = analyze_sources(vec![(
-        "crates/protocol/src/executor.rs".to_string(),
+        "crates/protocol/src/round.rs".to_string(),
         "pub fn nothing_here() {}\n".to_string(),
     )]);
     let msgs: Vec<&str> = report.diagnostics.iter().map(|d| d.message.as_str()).collect();

@@ -146,7 +146,7 @@ pub fn run_centralized(cfg: &SessionConfig) -> Result<CentralizedOutcome, RunErr
 }
 
 fn record(stats: &mut MessageStats, msg: &Msg) {
-    stats.record_public(msg.category(), 1, msg.wire_size() as u64);
+    stats.record(msg.category(), 1, msg.wire_size() as u64);
 }
 
 #[cfg(test)]

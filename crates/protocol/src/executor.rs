@@ -1,18 +1,17 @@
-//! Event-driven session executor: the DLS-BL-NCP round as explicit state
-//! machines stepped by one deterministic loop, multiplexed over a fixed
-//! worker pool.
+//! Event-driven session executor: the DLS-BL-NCP round stepped by one
+//! deterministic loop in virtual time, multiplexed over a fixed worker
+//! pool.
 //!
 //! The threaded runtime ([`crate::runtime::run_session`]) spends its time
 //! on OS machinery — m+1 thread spawns, condvar parks at twelve phase
 //! barriers, real `thread::sleep` for injected delays — none of which is
-//! the mechanism's arithmetic. This module re-expresses one round as data:
+//! the mechanism's arithmetic. This driver steps the same processor and
+//! referee machines ([`crate::round`]) without any of it:
 //!
-//! * every processor is a [`ProcessorState`] machine ([`ProcMachine`])
-//!   advanced through the protocol phases by the engine;
-//! * the referee is a [`RefereeState`] machine embedded in the engine
-//!   loop, running the *same* adjudication code as the threaded referee
-//!   (`adjudicate_*`, sweeps, verdict merging are shared functions);
-//! * the twelve lock-step barriers become calls to
+//! * for each step of the round's schedule it acts on every machine in
+//!   index order, delivering each outbox into per-processor `VecDeque`
+//!   inboxes (garbage frames are counted and dropped at intake);
+//! * each of the twelve lock-step barriers becomes a call to
 //!   [`crate::sched::resolve_barrier`] on a per-session virtual
 //!   millisecond clock: `DelayAt` faults post late arrival events and the
 //!   phase budget posts a deadline event, so a party whose arrival misses
@@ -24,1235 +23,159 @@
 //! `std::thread::scope` pool (session `s` → worker `s mod workers`, no
 //! work stealing) with one event loop per worker.
 //!
-//! ## Bit-exactness contract
+//! ## Bit-exactness
 //!
-//! The threaded path stays the oracle. For every builder-validated
-//! configuration, the event-driven path produces a [`SessionOutcome`]
-//! bit-identical to [`crate::runtime::run_session`] — allocations,
-//! payments, fines, message accounting, and fault-plan degradation
-//! reports. This holds by construction:
-//!
-//! * the outer session loop (round retries, ledger, degradation policy,
-//!   timeline) is literally shared: both paths run
-//!   `run_session_with`, differing only in the round function;
-//! * all float computation (α, counts, observed rates, payments) is the
-//!   same code on the same inputs, so results are bit-equal; values every
-//!   processor would derive identically from broadcast data (the agreed
-//!   bid vector, α, the base payment vector) are computed once and
-//!   shared, which cannot change a single bit of any output;
-//! * both paths sign every envelope with [`KeyPair::sign`], which is
-//!   deterministic in (key, message), and the user-signed data set is
-//!   deterministic in `(seed, key_bits, blocks)` so it is prepared once
-//!   per setup and shared.
-//!
-//! Two documented divergences, both outside builder-valid configurations:
-//! a `DelayAt` at or beyond the phase budget (the builder rejects it) has
-//! its pre-barrier sends suppressed differently than a racing threaded
-//! zombie, and with *multiple* equivocators the threaded runtime's
-//! last-received conflict is scheduler-dependent while this executor picks
-//! the deterministic sender-index order (the differential suite pins the
-//! single-equivocator case, where both agree).
+//! For every builder-validated configuration this driver produces a
+//! [`SessionOutcome`] bit-identical to [`crate::runtime::run_session`] —
+//! allocations, payments, fines, message accounting, and fault-plan
+//! degradation reports. The agreement is structural: both drivers run
+//! `run_session_with` around the same round machines, which sign with the
+//! deterministic [`dls_crypto::pki::KeyPair::sign`] and compute every
+//! float from the same inputs in the same code. The drivers differ only in
+//! delivery order across senders and in how a barrier's deadline is
+//! enforced; see DESIGN.md §12 for the two configurations outside the
+//! builder's validation where that shows.
 
-use crate::blocks::{integer_allocation, DataSet, SignedBlock, USER_IDENTITY};
-use crate::config::{Behavior, CryptoProfile, ProcessorConfig, SessionConfig};
-use crate::fault::{FaultKind, FaultPlan, LivenessFault};
-use crate::messages::{
-    BidBody, Evidence, GrantBody, Msg, PaymentEntry, PaymentVectorBody, PhaseReport, Verdict,
-};
-use crate::referee::{Phase, Referee};
+use crate::config::SessionConfig;
+use crate::messages::Msg;
+use crate::round::{self, admits, Outgoing, SCHEDULE};
 use crate::runtime::{
-    faulted_send, generate_keys_cached, merge_defaults, missing, record_verdict, referee_model,
-    referee_registry, referee_z, remap_active_configs, run_session_with, vectors_all_equal,
-    verify_bid_view, verify_profiled, MessageStats, ProcResult, ProtocolViolation, RefResult,
-    RoundOutput, RunError, SessionOutcome,
+    run_session_with, MessageStats, ProtocolViolation, RoundOutput, RunError, SessionOutcome,
 };
 use crate::sched::{resolve_barrier, shard, EventQueue, VirtualClock};
-use dls_crypto::pki::{KeyPair, Registry};
-use dls_crypto::{Signed, VerifyCache};
-use dls_dlt::BusParams;
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::collections::VecDeque;
 
-// ---------------------------------------------------------------------------
-// Deterministic per-setup data-set cache
-// ---------------------------------------------------------------------------
-
-/// Process-wide cache of user-signed data sets keyed by
-/// `(seed, key_bits, blocks)`. [`DataSet::prepare`] is deterministic in
-/// the user key (itself deterministic in `(seed, key_bits)`) and the block
-/// count, so rounds and sessions sharing a setup share the prepared set —
-/// the multiround analogue of the seeded RSA key cache.
-pub(crate) fn dataset_cached(
-    seed: u64,
-    key_bits: usize,
-    blocks: usize,
-    user: &KeyPair,
-) -> Result<Arc<DataSet>, RunError> {
-    type Cache = BTreeMap<(u64, usize, usize), Arc<DataSet>>;
-    static CACHE: Mutex<Option<Cache>> = Mutex::new(None);
-    if let Some(ds) = CACHE
-        .lock()
-        .get_or_insert_with(Cache::new)
-        .get(&(seed, key_bits, blocks))
-    {
-        return Ok(Arc::clone(ds));
-    }
-    // Prepared outside the lock: concurrent workers may race to build the
-    // same set, but preparation is deterministic so the duplicates are
-    // identical and last-write-wins is harmless.
-    let ds = Arc::new(
-        DataSet::prepare(user, blocks, 32).map_err(|e| RunError::Crypto(e.to_string()))?,
-    );
-    CACHE
-        .lock()
-        .get_or_insert_with(Cache::new)
-        .insert((seed, key_bits, blocks), Arc::clone(&ds));
-    Ok(ds)
-}
-
-// ---------------------------------------------------------------------------
-// Virtual transport
-// ---------------------------------------------------------------------------
-
-/// The in-memory stand-in for the threaded `Net`: same recording rules
-/// (a processor broadcast counts m−1 copies, a referee broadcast m, point
-/// links 1; garbage frames are recorded but dropped at processor intake),
-/// with channel queues replaced by per-processor `VecDeque`s and bid
-/// broadcasts additionally logged for the shared collection pass.
-///
-/// The queues themselves are borrowed from the worker's [`VmScratch`]
-/// arena, so a long-lived worker allocates its inboxes once and reuses
-/// them for every session it executes; only messages, never containers,
-/// are per-session.
-struct VmNet<'a> {
-    m: usize,
-    stats: MessageStats,
-    inboxes: &'a mut Vec<VecDeque<Msg>>,
-    ref_inbox: &'a mut Vec<(usize, Msg)>,
-    /// Processor bid broadcasts in send order; the engine verifies each
-    /// once instead of once per receiver (all receivers of an atomic
-    /// broadcast see the same envelope, so the per-receiver results are
-    /// identical by construction).
-    bid_log: &'a mut Vec<(usize, Signed<BidBody>)>,
-}
-
-impl<'a> VmNet<'a> {
-    /// Binds the arena buffers to one round of an `m`-party session,
-    /// clearing whatever the previous session left behind. Buffers only
-    /// ever grow to the largest `m` the worker has seen (a few dozen
-    /// `VecDeque` headers), so mixed workloads don't thrash the arena.
-    fn new(
-        m: usize,
-        inboxes: &'a mut Vec<VecDeque<Msg>>,
-        ref_inbox: &'a mut Vec<(usize, Msg)>,
-        bid_log: &'a mut Vec<(usize, Signed<BidBody>)>,
-    ) -> Self {
-        if inboxes.len() < m {
-            inboxes.resize_with(m, VecDeque::new);
-        }
-        for q in inboxes.iter_mut() {
-            q.clear();
-        }
-        ref_inbox.clear();
-        bid_log.clear();
-        VmNet {
-            m,
-            stats: MessageStats::default(),
-            inboxes,
-            ref_inbox,
-            bid_log,
-        }
-    }
-
-    fn record(&mut self, msg: &Msg, copies: u64) {
-        self.stats
-            .record(msg.category(), copies, msg.wire_size() as u64);
-    }
-
-    /// Atomic broadcast from processor `from` to all other processors.
-    fn broadcast(&mut self, from: usize, msg: Msg) {
-        let copies = self.m.saturating_sub(1) as u64;
-        self.record(&msg, copies);
-        match msg {
-            // Bids go to the shared collection log (verified once).
-            Msg::Bid(signed) => self.bid_log.push((from, signed)),
-            // Garbage frames are dropped at processor inbox intake,
-            // exactly like `ProcInbox`.
-            Msg::Garbage { .. } => {}
-            other => {
-                for (j, q) in self.inboxes.iter_mut().enumerate().take(self.m) {
-                    if j != from {
-                        q.push_back(other.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Referee broadcast to all processors.
-    fn broadcast_referee(&mut self, msg: Msg) {
-        self.record(&msg, self.m as u64);
-        for q in self.inboxes.iter_mut().take(self.m) {
-            q.push_back(msg.clone());
-        }
-    }
-
-    /// Unicast between processors; out-of-range destinations drop.
-    fn unicast(&mut self, to: usize, msg: Msg) {
-        self.record(&msg, 1);
-        if to < self.m {
-            if let Some(q) = self.inboxes.get_mut(to) {
-                q.push_back(msg);
-            }
-        }
-    }
-
-    /// Processor → referee.
-    fn to_referee(&mut self, from: usize, msg: Msg) {
-        self.record(&msg, 1);
-        self.ref_inbox.push((from, msg));
-    }
-
-    /// Drains everything the referee has received since the last drain,
-    /// in send order (the engine sends in processor-index order, so this
-    /// is deterministic where the threaded channel order was not — every
-    /// consumer of this ordering is order-insensitive or sorts). Draining
-    /// in place keeps the arena buffer's allocation alive for the next
-    /// collection point.
-    fn drain_referee(&mut self) -> std::vec::Drain<'_, (usize, Msg)> {
-        self.ref_inbox.drain(..)
-    }
-}
-
-/// Removes and returns the first message `f` maps to `Some`, preserving
-/// the order of everything else (the `ProcInbox` hold-back discipline;
-/// garbage never reaches these queues).
-fn take_first_msg<T>(
-    q: &mut VecDeque<Msg>,
-    mut f: impl FnMut(&Msg) -> Option<T>,
-) -> Option<T> {
-    let pos = q.iter().position(|m| f(m).is_some())?;
-    q.remove(pos).and_then(|m| f(&m))
-}
-
-/// Removes and returns every message `f` maps to `Some`, in order.
-fn take_all_msgs<T>(q: &mut VecDeque<Msg>, mut f: impl FnMut(&Msg) -> Option<T>) -> Vec<T> {
-    let mut out = Vec::new();
-    let mut keep = VecDeque::with_capacity(q.len());
-    while let Some(m) = q.pop_front() {
-        match f(&m) {
-            Some(t) => out.push(t),
-            None => keep.push_back(m),
-        }
-    }
-    *q = keep;
-    out
-}
-
-fn take_verdict(q: &mut VecDeque<Msg>) -> Option<Verdict> {
-    take_first_msg(q, |m| match m {
-        Msg::Verdict(v) => Some(v.clone()),
-        _ => None,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Liveness bookkeeping (mirror of the threaded RoundWatch, sans barrier)
-// ---------------------------------------------------------------------------
-
-/// The referee's liveness ledger for one virtual round. Classification is
-/// identical to the threaded `RoundWatch`: a party missing at a barrier
-/// deadline is a crash; an alive party absent from a collection point is
-/// an omission, or garbage if it delivered a garbage frame.
-struct VmWatch {
-    alive: Vec<bool>,
-    garbage: BTreeSet<usize>,
-    faults: Vec<LivenessFault>,
-}
-
-impl VmWatch {
-    fn new(m: usize) -> Self {
-        VmWatch {
-            alive: vec![true; m],
-            garbage: BTreeSet::new(),
-            faults: Vec::new(),
-        }
-    }
-
-    fn record_crash(&mut self, phase: Phase, id: usize) {
-        if let Some(slot) = self.alive.get_mut(id) {
-            if *slot {
-                *slot = false;
-                self.faults.push(LivenessFault {
-                    phase,
-                    processor: id,
-                    kind: FaultKind::Crash,
-                });
-            }
-        }
-    }
-
-    fn note_garbage(&mut self, from: usize) {
-        if from < self.alive.len() {
-            self.garbage.insert(from);
-        }
-    }
-
-    fn sweep(&mut self, phase: Phase, senders: &BTreeSet<usize>) {
-        let missing_ids: Vec<usize> = self
-            .alive
-            .iter()
-            .enumerate()
-            .filter(|(id, alive)| **alive && !senders.contains(id))
-            .map(|(id, _)| id)
-            .collect();
-        for id in missing_ids {
-            let kind = if self.garbage.contains(&id) {
-                FaultKind::Garbage
-            } else {
-                FaultKind::Omission
-            };
-            self.faults.push(LivenessFault {
-                phase,
-                processor: id,
-                kind,
-            });
-        }
-    }
-
-    fn defaulted_at(&self, phase: Phase) -> BTreeSet<usize> {
-        self.faults
-            .iter()
-            .filter(|f| f.phase == phase)
-            .map(|f| f.processor)
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Processor state machine
-// ---------------------------------------------------------------------------
-
-/// Where a processor machine stands in the protocol. The active states are
-/// keyed by the protocol phases; the terminal states record how the
-/// machine stopped participating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcessorState {
-    /// Computing/broadcasting its bid (pre-B1) or collecting peers' bids
-    /// and reporting (pre-B2).
-    Bidding,
-    /// Waiting for the referee's bidding verdict (B3).
-    AwaitBidVerdict,
-    /// Allocation phase: the originator splits and grants, everyone else
-    /// awaits a grant (around B4/B5).
-    Allocating,
-    /// Waiting for the referee's allocation verdict (B6).
-    AwaitAllocationVerdict,
-    /// Executing its installment; meter emitted (around B7).
-    Processing,
-    /// Waiting for the referee's meter broadcast (B8).
-    AwaitMeters,
-    /// Computing and submitting its payment vector (around B9).
-    Payments,
-    /// Waiting for payment settlement (B10–B12).
-    AwaitSettlement,
-    /// Terminal: crashed via an injected `CrashAt` fault; the partial
-    /// result survives.
-    Crashed,
-    /// Terminal: removed at a barrier deadline while still live (only
-    /// reachable with delays at/beyond the budget); the result defaults.
-    Defaulted,
-    /// Terminal: stopped by a non-proceed verdict.
-    Halted,
-    /// Terminal: ran the full protocol.
-    Done,
-}
-
-/// When the machine arrives at the next barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ArrivalPlan {
-    OnTime,
-    /// An injected `DelayAt` for the entered phase: late by this many
-    /// virtual milliseconds at the next barrier only.
-    Delayed(u64),
-    /// A crashed machine never arrives (it is removed at the deadline).
-    Never,
-}
-
-/// One processor as an explicit state machine. Stepped by the engine; all
-/// message side effects go through [`VmNet`].
-struct ProcMachine {
-    i: usize,
-    cfg: ProcessorConfig,
-    key: KeyPair,
-    state: ProcessorState,
-    /// Removed from the barrier set (crashed or deadline-defaulted).
-    removed: bool,
-    arrival: ArrivalPlan,
-    result: ProcResult,
-    /// Length of the block list this machine holds (its own grant).
-    my_blocks_len: usize,
-}
-
-impl ProcMachine {
-    /// Applies the phase-entry fault hook: `true` means the machine
-    /// crashed and must stop; a delay schedules a late arrival at the
-    /// next barrier instead of sleeping.
-    fn phase_entry(&mut self, phase: Phase) -> bool {
-        match self.cfg.fault {
-            FaultPlan::CrashAt(p) if p == phase => {
-                self.state = ProcessorState::Crashed;
-                self.arrival = ArrivalPlan::Never;
-                true
-            }
-            FaultPlan::DelayAt(p, ms) if p == phase => {
-                self.arrival = ArrivalPlan::Delayed(ms);
-                false
-            }
-            _ => false,
-        }
-    }
-
-    /// The delay this machine posts at the next barrier; consumed on use.
-    fn arrival_delay(&mut self, budget_ms: u64) -> u64 {
-        match self.arrival {
-            ArrivalPlan::OnTime => 0,
-            ArrivalPlan::Delayed(ms) => {
-                self.arrival = ArrivalPlan::OnTime;
-                ms
-            }
-            // Never arrives: models as exactly the deadline, which the
-            // deadline event outranks, so the machine is always removed.
-            ArrivalPlan::Never => budget_ms,
-        }
-    }
-}
-
-/// Where the engine's embedded referee stands; advanced with a checked
-/// transition so a sequencing bug surfaces as a typed error instead of a
-/// silently wrong verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefereeState {
-    /// Collecting bids and bidding reports (B1–B3).
-    Bidding,
-    /// Collecting allocation reports (B4–B6).
-    Allocating,
-    /// Collecting meters (B7–B8).
-    Processing,
-    /// Collecting payment vectors / bid views (B9–B12).
-    Payments,
-    /// Round finished (verdict issued or aborted).
-    Settled,
-}
-
-fn advance_referee(
-    state: &mut RefereeState,
-    from: RefereeState,
-    to: RefereeState,
-) -> Result<(), RunError> {
-    if *state != from {
-        return Err(RunError::Protocol(ProtocolViolation::invalid_state(
-            format!("referee state machine expected {from:?}, was {state:?}"),
-        )));
-    }
-    *state = to;
-    Ok(())
-}
+pub use crate::round::{ProcessorState, RefereeState};
 
 // ---------------------------------------------------------------------------
 // The event-driven round
 // ---------------------------------------------------------------------------
 
 /// Per-worker scratch reused across sessions: the event heap, the barrier
-/// arrival list, and the virtual transport's queues all allocate once per
-/// worker instead of once per session (or, for arrivals, once per
-/// barrier — twelve times a round). A long-lived service worker therefore
-/// reaches a steady state where per-session work allocates messages and
-/// outcomes but no container churn.
+/// arrival list, the outbox, and the virtual transport's queues all
+/// allocate once per worker instead of once per session (or, for arrivals,
+/// once per barrier — twelve times a round). A long-lived service worker
+/// therefore reaches a steady state where per-session work allocates
+/// messages and outcomes but no container churn.
+#[derive(Default)]
 pub struct VmScratch {
     queue: EventQueue,
     /// `(party, delay_ms)` staging for each barrier resolution.
     arrivals: Vec<(usize, u64)>,
-    /// Per-processor inboxes lent to [`VmNet`] each round.
+    /// Per-processor inboxes; they only ever grow to the largest `m` the
+    /// worker has seen.
     inboxes: Vec<VecDeque<Msg>>,
-    /// Referee inbox lent to [`VmNet`] each round.
+    /// The referee's inbox.
     ref_inbox: Vec<(usize, Msg)>,
-    /// Bid-broadcast log lent to [`VmNet`] each round.
-    bid_log: Vec<(usize, Signed<BidBody>)>,
+    /// What the acting machine sends, before delivery.
+    outbox: Vec<Outgoing>,
 }
 
 impl VmScratch {
     /// Fresh scratch for one worker's event loop.
     pub fn new() -> Self {
-        VmScratch {
-            queue: EventQueue::new(),
-            arrivals: Vec::new(),
-            inboxes: Vec::new(),
-            ref_inbox: Vec::new(),
-            bid_log: Vec::new(),
-        }
+        Self::default()
     }
 }
 
-impl Default for VmScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Resolves one phase barrier in virtual time and applies removals:
-/// crashed machines keep their partial result (like a threaded crashed
-/// thread that already returned), live machines removed at the deadline
-/// default (like threaded zombies released with `Defaulted`).
-fn vm_barrier(
-    phase: Phase,
-    budget_ms: u64,
-    clock: &mut VirtualClock,
-    queue: &mut EventQueue,
-    arrivals: &mut Vec<(usize, u64)>,
-    machines: &mut [ProcMachine],
-    watch: &mut VmWatch,
-) {
-    arrivals.clear();
-    arrivals.extend(
-        machines
-            .iter_mut()
-            .filter(|p| !p.removed)
-            .map(|p| (p.i, p.arrival_delay(budget_ms))),
-    );
-    let out = resolve_barrier(queue, clock.now_ms(), budget_ms, arrivals);
-    clock.advance_to(out.completed_at_ms);
-    for p in machines.iter_mut() {
-        if p.removed || out.removed.binary_search(&p.i).is_err() {
-            continue;
-        }
-        p.removed = true;
-        watch.record_crash(phase, p.i);
-        if p.state != ProcessorState::Crashed {
-            p.state = ProcessorState::Defaulted;
-            p.result = ProcResult::default();
-        }
-    }
-}
-
-/// Referee-side report collection from the virtual transport (mirror of
-/// the threaded `collect_reports`: reports sorted by sender, garbage
-/// senders listed separately).
-fn collect_reports_vm(net: &mut VmNet<'_>) -> (Vec<(usize, PhaseReport)>, Vec<usize>) {
-    let mut out = Vec::new();
-    let mut garbage = Vec::new();
-    for (from, msg) in net.drain_referee() {
-        match msg {
-            Msg::Report { report, .. } => out.push((from, report)),
-            Msg::Garbage { .. } => garbage.push(from),
-            _ => {}
-        }
-    }
-    out.sort_by_key(|(from, _)| *from);
-    (out, garbage)
-}
-
-/// Counts the valid user-signed blocks in a verified grant. Blocks that
-/// are byte-identical to the data set's original at the same id verified
-/// once when the set was prepared, so equality substitutes for the RSA
-/// check; anything else (tampered or foreign) falls back to a real
-/// verification, preserving the threaded path's per-block results.
-fn count_valid_blocks(body: &GrantBody, dataset: &DataSet, registry: &Registry) -> usize {
-    let same_block = |a: &SignedBlock, b: &SignedBlock| {
-        a.signer() == b.signer()
-            && a.signature() == b.signature()
-            && a.body_unverified() == b.body_unverified()
-    };
-    body.blocks
-        .iter()
-        .filter(|b| {
-            let id = b.body_unverified().id as usize;
-            match dataset.blocks().get(id) {
-                Some(orig) if same_block(orig, b) => true,
-                _ => b.verify(registry).is_ok(),
-            }
-        })
-        .count()
-}
-
-/// Shared bid collection: verifies each logged broadcast once, in send
-/// order, producing the per-sender first-bid slots and the conflict list
-/// every honest receiver would derive (a receiver's own view differs only
-/// in excluding conflicts it caused itself, which the engine filters per
-/// machine).
-struct BidCollection {
-    slots: Vec<Option<Signed<BidBody>>>,
-    conflicts: Vec<(usize, Signed<BidBody>, Signed<BidBody>)>,
-}
-
-fn collect_bids(
-    net: &VmNet<'_>,
-    m: usize,
-    registry: &Registry,
-    cache: &VerifyCache,
-    profile: CryptoProfile,
-) -> BidCollection {
-    let mut slots: Vec<Option<Signed<BidBody>>> = vec![None; m];
-    let mut conflicts = Vec::new();
-    for (_, signed) in net.bid_log.iter() {
-        let verified = match profile {
-            // One cached verification per logged broadcast; later passes
-            // over the same envelope (anywhere in the round) are memo hits.
-            CryptoProfile::Amortized => signed.verify_cached(registry, cache),
-            // Honest per-receiver cost model: each of the m−1 receivers of
-            // the atomic broadcast verifies for itself. Verification is
-            // deterministic, so the extra modexps burn time, never change
-            // the verdict.
-            CryptoProfile::PerReceiverNaive => {
-                let receivers = m.saturating_sub(1);
-                for _ in 1..receivers {
-                    let _ = signed.verify_naive(registry);
-                }
-                signed.verify_naive(registry)
-            }
-        };
-        let Ok(body) = verified else {
-            continue; // failed verification: discarded (§4)
-        };
-        let sender = body.processor;
-        if signed.signer() != format!("P{}", sender + 1) {
-            continue;
-        }
-        if !(body.bid.is_finite() && body.bid > 0.0) {
-            continue;
-        }
-        let Some(slot) = slots.get_mut(sender) else {
-            continue;
-        };
-        match slot {
-            Some(existing) => {
-                if existing.body_unverified() != signed.body_unverified() {
-                    conflicts.push((sender, existing.clone(), signed.clone()));
-                }
-            }
-            None => *slot = Some(signed.clone()),
-        }
-    }
-    BidCollection { slots, conflicts }
-}
-
-/// One DLS-BL-NCP round on the virtual clock. Same message schedule, same
-/// adjudication code, same outputs as the threaded `run_round` — bit for
-/// bit — with every barrier resolved by the event queue.
+/// One DLS-BL-NCP round on the virtual clock: every step of the schedule
+/// acts on every machine, in index order and then the referee, and the
+/// barrier after it resolves in virtual time.
+/// Crashed machines keep their partial result; live machines removed at a
+/// deadline default, like a threaded zombie released with `Defaulted`.
 pub(crate) fn run_round_vm(
     cfg: &SessionConfig,
     active: &[usize],
     scratch: &mut VmScratch,
 ) -> Result<RoundOutput, RunError> {
-    let m = active.len();
-    if m < 2 {
-        return Err(RunError::TooFewParticipants);
-    }
-    let procs: Vec<ProcessorConfig> = remap_active_configs(cfg, active);
-
-    // --- Setup: cached PKI + cached user-signed data set -------------------
-    let mut identities: Vec<String> = (1..=m).map(|i| format!("P{i}")).collect();
-    identities.push(USER_IDENTITY.to_string());
-    let mut keys = generate_keys_cached(&identities, cfg.key_bits, cfg.seed)?;
-    let user = keys
-        .pop()
-        .ok_or_else(|| RunError::Crypto("key generation returned no user key".into()))?;
-    let registry = Registry::from_keypairs(keys.iter().chain(std::iter::once(&user)));
-    let dataset = dataset_cached(cfg.seed, cfg.key_bits, cfg.blocks, &user)?;
-    let originator = cfg.model.originator(m).ok_or(RunError::UnsupportedModel)?;
-    let referee = Referee::new(registry.clone(), cfg.model, cfg.z, m, cfg.fine, cfg.blocks);
-    // Per-ROUND cache, like the threaded path: survivor re-runs rebind
-    // identities to different keys, so memoized verdicts must not outlive
-    // the round.
-    let verify_cache = VerifyCache::new();
-    let profile = cfg.crypto_profile;
-
-    let model = cfg.model;
-    let z = cfg.z;
-    let blocks_total = cfg.blocks;
-    let budget_ms = cfg.phase_budget_ms;
-
-    // Split the scratch arena so the transport can hold its buffers for
-    // the whole round while barriers borrow the event queue independently.
+    let round::Round {
+        ctx,
+        procs,
+        mut machines,
+        mut referee,
+    } = round::setup(cfg, active)?;
     let VmScratch {
         queue,
         arrivals,
         inboxes,
         ref_inbox,
-        bid_log,
+        outbox,
     } = scratch;
-    let mut net = VmNet::new(m, inboxes, ref_inbox, bid_log);
-    let mut clock = VirtualClock::new();
-    let mut watch = VmWatch::new(m);
-    let mut ref_state = RefereeState::Bidding;
-    let mut rr = RefResult {
-        aborted: None,
-        any_fines: false,
-        verdicts: Vec::new(),
-        meters: None,
-        final_q: None,
-        faults: Vec::new(),
-        defaulted_pre: Vec::new(),
-        delivered_vectors: BTreeSet::new(),
-        strategic_abort: false,
-    };
-
-    let mut machines: Vec<ProcMachine> = Vec::with_capacity(m);
-    for (i, pcfg) in procs.iter().enumerate() {
-        let key = keys.get(i).cloned().ok_or_else(|| {
-            RunError::Crypto(format!("no key generated for processor {i}"))
-        })?;
-        machines.push(ProcMachine {
-            i,
-            cfg: *pcfg,
-            key,
-            state: ProcessorState::Bidding,
-            removed: false,
-            arrival: ArrivalPlan::OnTime,
-            result: ProcResult::default(),
-            my_blocks_len: 0,
-        });
+    if inboxes.len() < ctx.m {
+        inboxes.resize_with(ctx.m, VecDeque::new);
     }
+    inboxes.iter_mut().for_each(VecDeque::clear);
+    ref_inbox.clear();
+    let mut stats = MessageStats::default();
+    let mut clock = VirtualClock::new();
+    let budget_ms = ctx.budget_ms;
 
-    let sign_err = |e: dls_crypto::pki::SignatureError| RunError::Crypto(e.to_string());
-    let finish = |machines: Vec<ProcMachine>,
-                  rr: RefResult,
-                  net: VmNet<'_>,
-                  procs: Vec<ProcessorConfig>| RoundOutput {
+    for (step, phase) in SCHEDULE {
+        for p in machines.iter_mut() {
+            if let Some(inbox) = inboxes.get_mut(p.i) {
+                p.act(step, &ctx, inbox, outbox)?;
+            }
+            deliver(ctx.m, p.i, outbox, inboxes, ref_inbox, &mut stats);
+        }
+        referee.act(step, &ctx, ref_inbox, outbox)?;
+        deliver(ctx.m, ctx.m, outbox, inboxes, ref_inbox, &mut stats);
+        arrivals.clear();
+        arrivals.extend(
+            machines
+                .iter_mut()
+                .filter(|p| !p.removed)
+                // A machine that never arrives posts exactly the deadline,
+                // which the deadline event outranks: it is always removed.
+                .map(|p| (p.i, p.arrival_delay().unwrap_or(budget_ms))),
+        );
+        let out = resolve_barrier(queue, clock.now_ms(), budget_ms, arrivals);
+        clock.advance_to(out.completed_at_ms);
+        for p in machines.iter_mut() {
+            if out.removed.binary_search(&p.i).is_ok() {
+                p.remove();
+            }
+        }
+        referee.record_removed(phase, &out.removed);
+        if referee.settled() {
+            break;
+        }
+    }
+    for p in machines.iter_mut() {
+        if let Some(inbox) = inboxes.get_mut(p.i) {
+            p.finish(inbox);
+        }
+    }
+    Ok(RoundOutput {
         procs,
         proc_results: machines.into_iter().map(|p| p.result).collect(),
-        rr,
-        messages: net.stats,
-    };
+        rr: referee.into_result(),
+        messages: stats,
+    })
+}
 
-    // ---- Phase 1: Bidding (pre-B1 processor actions) ----------------------
-    for p in machines.iter_mut() {
-        if p.state != ProcessorState::Bidding || p.phase_entry(Phase::Bidding) {
-            continue;
-        }
-        let my_bid = p.cfg.bid().ok_or_else(|| {
-            RunError::Protocol(
-                ProtocolViolation::invalid_state(
-                    "a non-participant reached the bidding phase",
-                )
-                .at_phase(Phase::Bidding),
-            )
-        })?;
-        let first = p
-            .key
-            .sign(BidBody {
-                processor: p.i,
-                bid: my_bid,
-            })
-            .map_err(sign_err)?;
-        match faulted_send(&p.cfg.fault, Phase::Bidding, p.i, Msg::Bid(first.clone())) {
-            Some(garbage @ Msg::Garbage { .. }) => net.broadcast(p.i, garbage),
-            Some(msg) => {
-                p.result.bid = Some(my_bid);
-                net.broadcast(p.i, msg);
-                match p.cfg.behavior {
-                    Behavior::EquivocateBids { factor } => {
-                        let second = p
-                            .key
-                            .sign(BidBody {
-                                processor: p.i,
-                                bid: my_bid * factor,
-                            })
-                            .map_err(sign_err)?;
-                        net.broadcast(p.i, Msg::Bid(second));
-                    }
-                    Behavior::ForgeExtraBid { impersonate } => {
-                        let forged = Signed::forge(
-                            BidBody {
-                                processor: impersonate,
-                                bid: 0.01,
-                            },
-                            format!("P{}", impersonate + 1),
-                            vec![0x5a; 48],
-                        );
-                        net.broadcast(p.i, Msg::Bid(forged));
-                    }
-                    _ => {}
+/// Delivers everything party `from` just sent, in send order, into the
+/// in-memory queues; garbage frames are dropped at processor intake.
+fn deliver(
+    m: usize,
+    from: usize,
+    outbox: &mut Vec<Outgoing>,
+    inboxes: &mut [VecDeque<Msg>],
+    ref_inbox: &mut Vec<(usize, Msg)>,
+    stats: &mut MessageStats,
+) {
+    for out in outbox.drain(..) {
+        out.deliver(
+            m,
+            from,
+            stats,
+            |j, msg| {
+                if let Some(q) = inboxes.get_mut(j).filter(|_| admits(&msg)) {
+                    q.push_back(msg);
                 }
-            }
-            None => {} // mute: the bid is withheld
-        }
-    }
-    vm_barrier(Phase::Bidding, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B1
-
-    // Shared bid collection + per-machine reports (pre-B2).
-    let collected = collect_bids(&net, m, &registry, &verify_cache, profile);
-    for p in machines.iter_mut() {
-        if p.state != ProcessorState::Bidding {
-            continue;
-        }
-        let equivocation = collected
-            .conflicts
-            .iter()
-            .filter(|(sender, _, _)| *sender != p.i)
-            .next_back();
-        let report = match equivocation {
-            Some((who, a, b)) => PhaseReport::Accuse {
-                accused: *who,
-                evidence: Evidence::Equivocation {
-                    first: a.clone(),
-                    second: b.clone(),
-                },
             },
-            None => PhaseReport::Ok,
-        };
-        if let Some(msg) = faulted_send(
-            &p.cfg.fault,
-            Phase::Bidding,
-            p.i,
-            Msg::Report { from: p.i, report },
-        ) {
-            net.to_referee(p.i, msg);
-        }
-        p.state = ProcessorState::AwaitBidVerdict;
+            |msg| ref_inbox.push((from, msg)),
+        );
     }
-    vm_barrier(Phase::Bidding, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B2
-
-    // Referee: bidding adjudication (pre-B3).
-    let (reports, garbage) = collect_reports_vm(&mut net);
-    for from in garbage {
-        watch.note_garbage(from);
-    }
-    let senders: BTreeSet<usize> = reports.iter().map(|(from, _)| *from).collect();
-    watch.sweep(Phase::Bidding, &senders);
-    let strategic = referee.adjudicate_bidding(&reports);
-    let defaulted = watch.defaulted_at(Phase::Bidding);
-    let (verdict, strategic_fines) = merge_defaults(&referee, strategic, &defaulted, true);
-    record_verdict(&mut rr, Phase::Bidding, &verdict);
-    net.broadcast_referee(Msg::Verdict(verdict.clone()));
-    vm_barrier(Phase::Bidding, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B3
-    if !verdict.proceed {
-        advance_referee(&mut ref_state, RefereeState::Bidding, RefereeState::Settled)?;
-        rr.aborted = Some(Phase::Bidding);
-        rr.strategic_abort = strategic_fines;
-        rr.defaulted_pre = defaulted.into_iter().collect();
-        rr.faults = watch.faults;
-        return Ok(finish(machines, rr, net, procs));
-    }
-    advance_referee(&mut ref_state, RefereeState::Bidding, RefereeState::Allocating)?;
-
-    // ---- Phase 2: Allocating (post-B3 / pre-B4) ---------------------------
-    // The round proceeded, so every slot holds the one agreed bid; the
-    // vector every processor assembles is this same object.
-    let mut signed_bids: Vec<Signed<BidBody>> = Vec::with_capacity(m);
-    for b in collected.slots {
-        signed_bids
-            .push(b.ok_or_else(|| missing("peer bid after clean bidding phase", Phase::Bidding))?);
-    }
-    let bids: Vec<f64> = signed_bids
-        .iter()
-        .map(|s| s.body_unverified().bid)
-        .collect();
-    let params = BusParams::new(z, bids.clone()).map_err(|_| {
-        RunError::Protocol(
-            ProtocolViolation::invalid_state("agreed bids do not form valid bus parameters")
-                .at_phase(Phase::Allocating),
-        )
-    })?;
-    let alpha = dls_dlt::optimal::fractions(model, &params);
-    let counts = integer_allocation(&alpha, blocks_total);
-
-    for p in machines.iter_mut() {
-        if p.state != ProcessorState::AwaitBidVerdict {
-            continue;
-        }
-        let verdict = take_verdict(net.inboxes.get_mut(p.i).unwrap_or(&mut VecDeque::new()))
-            .ok_or_else(|| missing("bidding verdict", Phase::Bidding))?;
-        if !verdict.proceed {
-            p.state = ProcessorState::Halted;
-            continue;
-        }
-        p.state = ProcessorState::Allocating;
-        if p.phase_entry(Phase::Allocating) {
-            continue;
-        }
-        p.result.alloc_fraction = alpha.get(p.i).copied().unwrap_or(0.0);
-        if p.i == originator {
-            let grants = dataset.split(&counts);
-            for (to, blocks) in grants.into_iter().enumerate() {
-                if to == p.i {
-                    p.my_blocks_len = blocks.len();
-                    continue;
-                }
-                let mut blocks = blocks;
-                match p.cfg.behavior {
-                    Behavior::ShortAllocate { victim, shortfall } if victim == to => {
-                        let keep = blocks.len().saturating_sub(shortfall);
-                        blocks.truncate(keep);
-                    }
-                    Behavior::OverAllocate { victim, excess } if victim == to => {
-                        if let Some(pad) =
-                            blocks.first().or_else(|| dataset.blocks().first()).cloned()
-                        {
-                            for _ in 0..excess {
-                                blocks.push(pad.clone());
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-                let grant = p.key.sign(GrantBody { to, blocks }).map_err(sign_err)?;
-                if let Some(msg) =
-                    faulted_send(&p.cfg.fault, Phase::Allocating, p.i, Msg::Grant(grant))
-                {
-                    net.unicast(to, msg);
-                }
-            }
-            p.result.blocks_granted = p.my_blocks_len;
-        }
-    }
-    vm_barrier(Phase::Allocating, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B4
-
-    // Grant verification + allocation reports (pre-B5).
-    for p in machines.iter_mut() {
-        if p.state != ProcessorState::Allocating {
-            continue;
-        }
-        let mut alloc_report = PhaseReport::Ok;
-        if p.i != originator {
-            let granted: Option<Signed<GrantBody>> = net
-                .inboxes
-                .get_mut(p.i)
-                .map(|q| {
-                    take_all_msgs(q, |m| match m {
-                        Msg::Grant(g) => Some(g.clone()),
-                        _ => None,
-                    })
-                })
-                .and_then(|mut v| v.pop());
-            if let Some(grant) = granted {
-                let valid_blocks =
-                    match verify_profiled(&grant, &registry, &verify_cache, profile) {
-                        Ok(body) => count_valid_blocks(body, &dataset, &registry),
-                        Err(_) => 0,
-                    };
-                p.result.blocks_granted = valid_blocks;
-                p.my_blocks_len = grant.body_unverified().blocks.len();
-                let expected = counts.get(p.i).copied().unwrap_or(0);
-                let mismatch = valid_blocks != expected;
-                let false_accusation =
-                    p.cfg.behavior == Behavior::FalselyAccuseAllocation && !mismatch;
-                if mismatch || false_accusation {
-                    alloc_report = PhaseReport::Accuse {
-                        accused: originator,
-                        evidence: Evidence::WrongAllocation {
-                            grant: grant.clone(),
-                            bid_view: signed_bids.clone(),
-                            expected_blocks: expected,
-                        },
-                    };
-                }
-            }
-        }
-        if let Some(msg) = faulted_send(
-            &p.cfg.fault,
-            Phase::Allocating,
-            p.i,
-            Msg::Report {
-                from: p.i,
-                report: alloc_report,
-            },
-        ) {
-            net.to_referee(p.i, msg);
-        }
-        p.state = ProcessorState::AwaitAllocationVerdict;
-    }
-    vm_barrier(Phase::Allocating, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B5
-
-    // Referee: allocation adjudication (pre-B6).
-    let (reports, garbage) = collect_reports_vm(&mut net);
-    for from in garbage {
-        watch.note_garbage(from);
-    }
-    let senders: BTreeSet<usize> = reports.iter().map(|(from, _)| *from).collect();
-    watch.sweep(Phase::Allocating, &senders);
-    let strategic = referee.adjudicate_allocation(&reports, &dataset);
-    let defaulted = watch.defaulted_at(Phase::Allocating);
-    let (verdict, strategic_fines) = merge_defaults(&referee, strategic, &defaulted, true);
-    record_verdict(&mut rr, Phase::Allocating, &verdict);
-    net.broadcast_referee(Msg::Verdict(verdict.clone()));
-    vm_barrier(Phase::Allocating, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B6
-    if !verdict.proceed {
-        advance_referee(&mut ref_state, RefereeState::Allocating, RefereeState::Settled)?;
-        rr.aborted = Some(Phase::Allocating);
-        rr.strategic_abort = strategic_fines;
-        rr.defaulted_pre = defaulted.into_iter().collect();
-        rr.faults = watch.faults;
-        return Ok(finish(machines, rr, net, procs));
-    }
-    advance_referee(&mut ref_state, RefereeState::Allocating, RefereeState::Processing)?;
-
-    // ---- Phase 3: Processing (pre-B7) -------------------------------------
-    for p in machines.iter_mut() {
-        if p.state != ProcessorState::AwaitAllocationVerdict {
-            continue;
-        }
-        let verdict = net
-            .inboxes
-            .get_mut(p.i)
-            .and_then(take_verdict)
-            .ok_or_else(|| missing("allocation verdict", Phase::Allocating))?;
-        if !verdict.proceed {
-            p.state = ProcessorState::Halted;
-            continue;
-        }
-        p.state = ProcessorState::Processing;
-        if p.phase_entry(Phase::Processing) {
-            continue;
-        }
-        let real_fraction = p.my_blocks_len as f64 / blocks_total as f64;
-        let phi = real_fraction * p.cfg.exec_w();
-        p.result.meter = phi;
-        if let Some(msg) = faulted_send(
-            &p.cfg.fault,
-            Phase::Processing,
-            p.i,
-            Msg::Meter { of: p.i, phi },
-        ) {
-            net.to_referee(p.i, msg);
-        }
-        p.state = ProcessorState::AwaitMeters;
-    }
-    vm_barrier(Phase::Processing, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B7
-
-    // Referee: meter collection + broadcast (pre-B8).
-    let mut meter_slots: Vec<Option<f64>> = vec![None; m];
-    for (from, msg) in net.drain_referee() {
-        match msg {
-            Msg::Meter { of, phi } => {
-                if let Some(slot) = meter_slots.get_mut(of) {
-                    *slot = Some(phi);
-                }
-            }
-            Msg::Garbage { .. } => watch.note_garbage(from),
-            _ => {}
-        }
-    }
-    let senders: BTreeSet<usize> = meter_slots
-        .iter()
-        .enumerate()
-        .filter_map(|(id, s)| s.map(|_| id))
-        .collect();
-    watch.sweep(Phase::Processing, &senders);
-    let meters: Vec<f64> = meter_slots.iter().map(|s| s.unwrap_or(0.0)).collect();
-    rr.meters = Some(meters.clone());
-    net.broadcast_referee(Msg::Meters(meters.clone()));
-    vm_barrier(Phase::Processing, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B8
-    advance_referee(&mut ref_state, RefereeState::Processing, RefereeState::Payments)?;
-
-    // ---- Phase 4: Payments (pre-B9) ---------------------------------------
-    // Every machine received the same meter broadcast and holds the same
-    // agreed bids and α, so the honest payment vector is computed once;
-    // per-machine tampering applies to a clone.
-    let observed: Vec<f64> = meters
-        .iter()
-        .zip(&alpha)
-        .map(|(phi, a)| if *a > 0.0 { phi / a } else { 0.0 })
-        .collect();
-    let observed: Vec<f64> = observed
-        .iter()
-        .zip(&bids)
-        .map(|(o, b)| if *o > 0.0 { *o } else { *b })
-        .collect();
-    let base_q: Vec<PaymentEntry> =
-        dls_mechanism::compute_payments(model, &params, &alpha, &observed)
-            .into_iter()
-            .map(|p| PaymentEntry {
-                compensation: p.compensation,
-                bonus: p.bonus,
-            })
-            .collect();
-
-    for p in machines.iter_mut() {
-        if p.state != ProcessorState::AwaitMeters {
-            continue;
-        }
-        let _meters: Vec<f64> = net
-            .inboxes
-            .get_mut(p.i)
-            .and_then(|q| {
-                take_first_msg(q, |m| match m {
-                    Msg::Meters(v) => Some(v.clone()),
-                    _ => None,
-                })
-            })
-            .ok_or_else(|| missing("meter vector", Phase::Processing))?;
-        p.state = ProcessorState::Payments;
-        if p.phase_entry(Phase::Payments) {
-            continue;
-        }
-        let mut q = base_q.clone();
-        if let Behavior::CorruptPayments { target, factor } = p.cfg.behavior {
-            if let Some(entry) = q.get_mut(target) {
-                entry.compensation *= factor;
-            }
-        }
-        let pv = p
-            .key
-            .sign(PaymentVectorBody { processor: p.i, q })
-            .map_err(sign_err)?;
-        if let Some(msg) = faulted_send(&p.cfg.fault, Phase::Payments, p.i, Msg::PaymentVector(pv))
-        {
-            net.to_referee(p.i, msg);
-        }
-        p.state = ProcessorState::AwaitSettlement;
-    }
-    vm_barrier(Phase::Payments, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B9
-
-    // Referee: payment vector collection (pre-B10).
-    let mut vectors = Vec::new();
-    for (from, msg) in net.drain_referee() {
-        match msg {
-            Msg::PaymentVector(v) => vectors.push(v),
-            Msg::Garbage { .. } => watch.note_garbage(from),
-            _ => {}
-        }
-    }
-    // Phase-level batch sweep (mirror of the threaded referee): settle
-    // every envelope's verdict once so the delivered sweep, equality
-    // check, and any dispute path hit memoized verdicts.
-    if profile == CryptoProfile::Amortized {
-        for sv in &vectors {
-            let _ = sv.verify_cached(referee_registry(&referee), &verify_cache);
-        }
-    }
-    let mut delivered = BTreeSet::new();
-    for sv in &vectors {
-        if let Ok(body) = verify_profiled(sv, referee_registry(&referee), &verify_cache, profile) {
-            if sv.signer() == format!("P{}", body.processor + 1) && body.processor < m {
-                delivered.insert(body.processor);
-            }
-        }
-    }
-    watch.sweep(Phase::Payments, &delivered);
-    rr.delivered_vectors = delivered;
-
-    let agreed = if vectors_all_equal(&vectors, m, &referee, &verify_cache, profile) {
-        vectors.first()
-    } else {
-        None
-    };
-    if let Some(first) = agreed {
-        let q = first.body_unverified().q.clone();
-        rr.final_q = Some(q);
-        net.broadcast_referee(Msg::Verdict(Verdict::ok()));
-        record_verdict(&mut rr, Phase::Payments, &Verdict::ok());
-        vm_barrier(Phase::Payments, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B10
-        // No machine finds a BidRequest, so none sends a view.
-        for p in machines.iter_mut() {
-            if p.state != ProcessorState::AwaitSettlement {
-                continue;
-            }
-            if let Some(q) = net.inboxes.get_mut(p.i) {
-                let _ = take_all_msgs(q, |m| matches!(m, Msg::BidRequest).then_some(()));
-            }
-        }
-        vm_barrier(Phase::Payments, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B11
-        net.broadcast_referee(Msg::Verdict(Verdict::ok()));
-        vm_barrier(Phase::Payments, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B12
-        rr.faults = watch.faults;
-        for p in machines.iter_mut() {
-            if p.state == ProcessorState::AwaitSettlement {
-                let _ = net.inboxes.get_mut(p.i).and_then(take_verdict);
-                p.state = ProcessorState::Done;
-            }
-        }
-        advance_referee(&mut ref_state, RefereeState::Payments, RefereeState::Settled)?;
-        return Ok(finish(machines, rr, net, procs));
-    }
-
-    // Vectors disagree (or one is missing): request the bids (§4).
-    net.broadcast_referee(Msg::BidRequest);
-    vm_barrier(Phase::Payments, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B10
-    for p in machines.iter_mut() {
-        if p.state != ProcessorState::AwaitSettlement {
-            continue;
-        }
-        let bid_request = net
-            .inboxes
-            .get_mut(p.i)
-            .map(|q| !take_all_msgs(q, |m| matches!(m, Msg::BidRequest).then_some(())).is_empty())
-            .unwrap_or(false);
-        if bid_request {
-            if let Some(msg) = faulted_send(
-                &p.cfg.fault,
-                Phase::Payments,
-                p.i,
-                Msg::BidView {
-                    from: p.i,
-                    view: signed_bids.clone(),
-                },
-            ) {
-                net.to_referee(p.i, msg);
-            }
-        }
-    }
-    vm_barrier(Phase::Payments, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B11
-
-    // Referee: bid views → recomputed payments → final verdict (pre-B12).
-    let mut agreed_bids: Option<Vec<f64>> = None;
-    for (from, msg) in net.drain_referee() {
-        match msg {
-            Msg::BidView { view, .. } => {
-                if agreed_bids.is_none() {
-                    if let Some(b) =
-                        verify_bid_view(&view, m, &referee, &verify_cache, profile)
-                    {
-                        agreed_bids = Some(b);
-                    }
-                }
-            }
-            Msg::Garbage { .. } => watch.note_garbage(from),
-            _ => {}
-        }
-    }
-    let agreed_bids = agreed_bids.ok_or_else(|| {
-        RunError::Protocol(
-            ProtocolViolation::invalid_state(
-                "no verifiable bid view received for payment adjudication",
-            )
-            .at_phase(Phase::Payments),
-        )
-    })?;
-    let ref_params = BusParams::new(referee_z(&referee), agreed_bids.clone()).map_err(|_| {
-        RunError::Protocol(
-            ProtocolViolation::invalid_state("verified bid view has invalid rates")
-                .at_phase(Phase::Payments),
-        )
-    })?;
-    let ref_alpha = dls_dlt::optimal::fractions(referee_model(&referee), &ref_params);
-    let ref_observed: Vec<f64> = meters
-        .iter()
-        .zip(ref_alpha.iter())
-        .zip(agreed_bids.iter())
-        .map(|((phi, a), b)| if *a > 0.0 && *phi > 0.0 { phi / a } else { *b })
-        .collect();
-    let (verdict, correct) = referee
-        .adjudicate_payments(&vectors, &agreed_bids, &ref_observed)
-        .map_err(|e| {
-            RunError::Protocol(
-                ProtocolViolation::invalid_state(e.to_string()).at_phase(Phase::Payments),
-            )
-        })?;
-    rr.final_q = Some(correct);
-    record_verdict(&mut rr, Phase::Payments, &verdict);
-    net.broadcast_referee(Msg::Verdict(verdict));
-    vm_barrier(Phase::Payments, budget_ms, &mut clock, queue, arrivals, &mut machines, &mut watch); // B12
-    rr.faults = watch.faults;
-    for p in machines.iter_mut() {
-        if p.state == ProcessorState::AwaitSettlement {
-            let _ = net.inboxes.get_mut(p.i).and_then(take_verdict);
-            p.state = ProcessorState::Done;
-        }
-    }
-    advance_referee(&mut ref_state, RefereeState::Payments, RefereeState::Settled)?;
-    Ok(finish(machines, rr, net, procs))
 }
 
 // ---------------------------------------------------------------------------
@@ -1375,6 +298,9 @@ pub fn run_session_pooled_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{Behavior, CryptoProfile, ProcessorConfig};
+    use crate::fault::FaultPlan;
+    use crate::referee::Phase;
     use crate::runtime::run_session;
     use dls_crypto::rsa::MIN_MODULUS_BITS;
     use dls_dlt::SystemModel;

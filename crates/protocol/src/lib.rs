@@ -75,6 +75,7 @@ pub mod ledger;
 pub mod messages;
 pub mod multiload;
 pub mod referee;
+mod round;
 pub mod runtime;
 pub mod sched;
 pub mod service;

@@ -1,7 +1,10 @@
-//! Threaded message-passing execution of DLS-BL-NCP.
+//! Threaded message-passing execution of DLS-BL-NCP, and the session loop
+//! both drivers share.
 //!
-//! One OS thread per strategic processor plus one for the referee,
-//! connected by channels that model the paper's network assumptions:
+//! [`run_session`] steps the round's processor and referee machines
+//! ([`crate::round`]) on real threads: one per processor plus one for the
+//! referee, connected by `std::sync::mpsc` channels that model the
+//! paper's network assumptions:
 //!
 //! * **tamper-proof network / protocols** — transport is provided by the
 //!   runtime; agents can choose *what* to send, never to alter delivery;
@@ -10,23 +13,22 @@
 //!   order and a sender cannot transmit different values within one
 //!   broadcast (equivocation requires *two* broadcasts, which peers detect
 //!   exactly as in §4);
-//! * **lock-step phases** — threads synchronize on a barrier at each phase
-//!   boundary, modelling the known communication rounds of the protocol.
+//! * **lock-step phases** — threads synchronize on a barrier at each of
+//!   the round's twelve boundaries, modelling the known communication
+//!   rounds of the protocol.
 //!
+//! The event-driven executor ([`crate::executor`]) steps the same machines
+//! in virtual time; this driver adds only what real concurrency needs —
+//! channels, a deadline barrier, real sleeps for injected delays — and so
+//! is the path to run when wall-clock behaviour itself is under test.
 //! Every message is counted by category and (approximate) wire size, which
 //! is the measurement behind experiment E10 (Theorem 5.4: Θ(m²)).
-//!
-//! ## Deviations faithfully represented
-//!
-//! The [`Behavior`] catalogue drives the strategic hooks: what to bid
-//! (twice, for equivocators), how many blocks to grant, what payment
-//! vector to submit, and whether to raise false accusations. Everything
-//! else — signatures, meters, transport — is outside agent control.
 //!
 //! ## Liveness faults and degradation
 //!
 //! The paper assumes every processor shows up at every phase. This runtime
-//! drops that assumption: each processor carries a [`FaultPlan`]
+//! drops that assumption: each processor carries a
+//! [`crate::fault::FaultPlan`]
 //! (crash/mute/delay/garbage, orthogonal to its strategy), and only the
 //! **referee** waits at barriers with a wall-clock deadline
 //! ([`crate::config::SessionConfig::phase_budget_ms`]). A party missing at
@@ -39,26 +41,20 @@
 //! payment withheld). Every session reports what happened in
 //! [`SessionOutcome::degradation`].
 
-use crate::blocks::{integer_allocation, DataSet, USER_IDENTITY};
-use crate::config::{Behavior, CryptoProfile, ProcessorConfig, SessionConfig};
-use crate::fault::{DegradationReport, FaultKind, FaultPlan, LivenessFault};
+use crate::config::{Behavior, ProcessorConfig, SessionConfig};
+use crate::fault::{DegradationReport, LivenessFault};
 use crate::ledger::{Account, Ledger, TransferReason};
-use crate::messages::{
-    BidBody, Evidence, GrantBody, Msg, MsgCategory, PaymentEntry, PaymentVectorBody, PhaseReport,
-    Verdict,
+use crate::messages::{Msg, MsgCategory, PaymentEntry};
+use crate::referee::Phase;
+use crate::round::{
+    self, admits, Outgoing, ProcMachine, ProcResult, RefResult, RefereeMachine, RoundCtx, SCHEDULE,
 };
-use crate::referee::{Phase, Referee};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use dls_crypto::pki::{KeyPair, Registry, SignatureError};
-use dls_crypto::{Signed, VerifyCache};
 use dls_dlt::{BusParams, SystemModel};
 use dls_netsim::{simulate, SessionSpec as NetSessionSpec, Timeline};
 use parking_lot::{Condvar, Mutex};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 /// Which actor a failure is attributed to.
@@ -251,7 +247,8 @@ pub struct MessageStats {
 }
 
 impl MessageStats {
-    pub(crate) fn record(&mut self, category: MsgCategory, copies: u64, bytes_each: u64) {
+    /// Records `copies` deliveries of a message of `bytes_each` bytes.
+    pub fn record(&mut self, category: MsgCategory, copies: u64, bytes_each: u64) {
         let key = match category {
             MsgCategory::Bid => "bid",
             MsgCategory::Grant => "grant",
@@ -261,12 +258,6 @@ impl MessageStats {
         let e = self.counts.entry(key).or_insert((0, 0));
         e.0 += copies;
         e.1 += copies * bytes_each;
-    }
-
-    /// Records `copies` deliveries of a message (public entry point for
-    /// alternative transports, e.g. the centralized baseline).
-    pub fn record_public(&mut self, category: MsgCategory, copies: u64, bytes_each: u64) {
-        self.record(category, copies, bytes_each);
     }
 
     /// Accumulates another stats block into this one (used to total the
@@ -393,52 +384,38 @@ impl SessionOutcome {
 struct Net {
     proc_txs: Vec<Sender<Msg>>,
     referee_tx: Sender<(usize, Msg)>,
-    stats: Mutex<MessageStats>,
-    bcast: Mutex<()>,
+    /// The wire: its lock makes each broadcast atomic (every receiver
+    /// observes broadcasts in one order and no sender can split one), and
+    /// it guards the traffic count.
+    wire: Mutex<MessageStats>,
 }
 
 impl Net {
-    fn record(&self, msg: &Msg, copies: u64) {
-        self.stats
-            .lock()
-            .record(msg.category(), copies, msg.wire_size() as u64);
-    }
-
-    /// Atomic broadcast from processor `from` to all other processors.
-    fn broadcast(&self, from: usize, msg: Msg) {
-        let _g = self.bcast.lock();
-        let copies = self.proc_txs.len().saturating_sub(1) as u64;
-        self.record(&msg, copies);
-        for (j, tx) in self.proc_txs.iter().enumerate() {
-            if j != from {
-                let _ = tx.send(msg.clone());
-            }
+    /// Delivers everything party `from` just sent, in send order.
+    fn deliver(&self, from: usize, outbox: &mut Vec<Outgoing>) {
+        for out in outbox.drain(..) {
+            let mut stats = self.wire.lock();
+            out.deliver(
+                self.proc_txs.len(),
+                from,
+                &mut stats,
+                |j, msg| {
+                    if let Some(tx) = self.proc_txs.get(j) {
+                        let _ = tx.send(msg);
+                    }
+                },
+                |msg| {
+                    let _ = self.referee_tx.send((from, msg));
+                },
+            );
         }
     }
+}
 
-    /// Referee broadcast to all processors.
-    fn broadcast_referee(&self, msg: Msg) {
-        let _g = self.bcast.lock();
-        self.record(&msg, self.proc_txs.len() as u64);
-        for tx in &self.proc_txs {
-            let _ = tx.send(msg.clone());
-        }
-    }
-
-    /// Unicast between processors. A message addressed outside the active
-    /// set is dropped, exactly like a frame sent to an absent station.
-    fn unicast(&self, to: usize, msg: Msg) {
-        self.record(&msg, 1);
-        if let Some(tx) = self.proc_txs.get(to) {
-            let _ = tx.send(msg);
-        }
-    }
-
-    /// Processor (or meter) → referee.
-    fn to_referee(&self, from: usize, msg: Msg) {
-        self.record(&msg, 1);
-        let _ = self.referee_tx.send((from, msg));
-    }
+/// Moves everything that has arrived on a processor's channel into its
+/// inbox, dropping garbage frames at receipt.
+fn intake(rx: &Receiver<Msg>, inbox: &mut VecDeque<Msg>) {
+    inbox.extend(rx.try_iter().filter(admits));
 }
 
 /// A reusable phase barrier with per-party identity, abort, and
@@ -540,9 +517,9 @@ impl PhaseBarrier {
     /// (and is not missing) or it is removed (and its next `wait_as`
     /// reports it defaulted).
     fn wait_deadline_as(&self, id: usize, budget: Duration) -> Result<Vec<usize>, RunError> {
-        // The threaded oracle enforces real wall-clock budgets; the virtual
+        // The threaded runtime enforces real wall-clock budgets; the virtual
         // executor mirrors them in VirtualClock.
-        // dls-lint: allow(determinism) -- real phase deadline in the threaded oracle
+        // dls-lint: allow(determinism) -- real phase deadline in the threaded runtime
         let deadline = Instant::now() + budget;
         let mut st = self.state.lock();
         if let Some(v) = &st.aborted {
@@ -598,97 +575,14 @@ impl PhaseBarrier {
 
 /// Drop guard: if an actor unwinds by panic (e.g. from a dependency), the
 /// barrier is aborted so the remaining actors do not hang.
-struct AbortOnPanic(Arc<PhaseBarrier>);
+struct AbortOnPanic<'a>(&'a PhaseBarrier);
 
-impl Drop for AbortOnPanic {
+impl Drop for AbortOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.0.abort(ProtocolViolation::panicked(ActorRole::Actor));
         }
     }
-}
-
-/// A processor's inbox with a hold-back buffer: draining for one kind of
-/// message must not discard messages that belong to a later step (e.g. a
-/// fast originator's grant can land while a slow peer is still consuming
-/// the bidding verdict). Garbage frames are dropped at receipt, exactly
-/// like a payload that fails signature verification (§4).
-struct ProcInbox {
-    rx: Receiver<Msg>,
-    pending: std::collections::VecDeque<Msg>,
-}
-
-impl ProcInbox {
-    fn new(rx: Receiver<Msg>) -> Self {
-        ProcInbox {
-            rx,
-            pending: std::collections::VecDeque::new(),
-        }
-    }
-
-    /// All currently available messages (pending buffer first).
-    fn drain(&mut self) -> Vec<Msg> {
-        let mut out: Vec<Msg> = self.pending.drain(..).collect();
-        out.extend(
-            self.rx
-                .try_iter()
-                .filter(|m| !matches!(m, Msg::Garbage { .. })),
-        );
-        out
-    }
-
-    /// Consumes and returns the first message matched by `take`, holding
-    /// every other available message back for later drains. Returns `None`
-    /// when no available message matches; the lock-step phase structure
-    /// guarantees the expected message has been sent before the barrier
-    /// this is called behind, so callers treat `None` as a protocol error.
-    fn take_first<T>(&mut self, mut take: impl FnMut(&Msg) -> Option<T>) -> Option<T> {
-        // Check held-back messages first.
-        let held = self
-            .pending
-            .iter()
-            .enumerate()
-            .find_map(|(idx, msg)| take(msg).map(|v| (idx, v)));
-        if let Some((idx, v)) = held {
-            self.pending.remove(idx);
-            return Some(v);
-        }
-        for msg in self.rx.try_iter() {
-            if matches!(msg, Msg::Garbage { .. }) {
-                continue;
-            }
-            match take(&msg) {
-                Some(v) => return Some(v),
-                None => self.pending.push_back(msg),
-            }
-        }
-        None
-    }
-
-    /// Consumes every available message matched by `take`, holding the
-    /// rest back.
-    fn take_all<T>(&mut self, mut take: impl FnMut(&Msg) -> Option<T>) -> Vec<T> {
-        let msgs = self.drain();
-        let mut out = Vec::new();
-        for msg in msgs {
-            match take(&msg) {
-                Some(v) => out.push(v),
-                None => self.pending.push_back(msg),
-            }
-        }
-        out
-    }
-
-    fn take_verdict(&mut self) -> Option<Verdict> {
-        self.take_first(|m| match m {
-            Msg::Verdict(v) => Some(v.clone()),
-            _ => None,
-        })
-    }
-}
-
-fn drain_referee(rx: &Receiver<(usize, Msg)>) -> Vec<(usize, Msg)> {
-    rx.try_iter().collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -999,233 +893,53 @@ pub(crate) struct RoundOutput {
     pub(crate) messages: MessageStats,
 }
 
-/// Remaps index-bearing behaviours into active coordinates. A behaviour
-/// whose victim/target is not active degrades to Compliant. Shared by the
-/// threaded round runner and the event-driven executor so both paths play
-/// exactly the same remapped strategies.
-pub(crate) fn remap_active_configs(
-    cfg: &SessionConfig,
-    active: &[usize],
-) -> Vec<ProcessorConfig> {
-    let to_active: BTreeMap<usize, usize> = active
-        .iter()
-        .enumerate()
-        .map(|(pos, &orig)| (orig, pos))
-        .collect();
-    active
-        .iter()
-        .filter_map(|&orig| cfg.processors.get(orig))
-        .map(|p| {
-            let behavior = match p.behavior {
-                Behavior::ShortAllocate { victim, shortfall } => to_active
-                    .get(&victim)
-                    .map(|&v| Behavior::ShortAllocate {
-                        victim: v,
-                        shortfall,
-                    })
-                    .unwrap_or(Behavior::Compliant),
-                Behavior::OverAllocate { victim, excess } => to_active
-                    .get(&victim)
-                    .map(|&v| Behavior::OverAllocate { victim: v, excess })
-                    .unwrap_or(Behavior::Compliant),
-                Behavior::CorruptPayments { target, factor } => to_active
-                    .get(&target)
-                    .map(|&t| Behavior::CorruptPayments { target: t, factor })
-                    .unwrap_or(Behavior::Compliant),
-                Behavior::ForgeExtraBid { impersonate } => to_active
-                    .get(&impersonate)
-                    .map(|&t| Behavior::ForgeExtraBid { impersonate: t })
-                    .unwrap_or(Behavior::Compliant),
-                other => other,
-            };
-            ProcessorConfig {
-                true_w: p.true_w,
-                behavior,
-                fault: p.fault,
-            }
-        })
-        .collect()
-}
-
-/// Runs one protocol round over `active` (original indices). Each round
-/// is self-contained: identities `P1..Pk`, keys, registry and data set are
-/// re-derived from the session seed, so a survivor re-run is bit-identical
-/// to a from-scratch session over the same participant set.
+/// Runs one protocol round over `active` (original indices) on threads:
+/// one per processor machine plus one for the referee machine, connected
+/// by channels, synchronized by a [`PhaseBarrier`] whose deadline only the
+/// referee enforces.
 fn run_round(cfg: &SessionConfig, active: &[usize]) -> Result<RoundOutput, RunError> {
-    let m = active.len();
-    if m < 2 {
-        return Err(RunError::TooFewParticipants);
-    }
-    let procs: Vec<ProcessorConfig> = remap_active_configs(cfg, active);
-
-    // --- Initialization phase: PKI + user-signed data set -----------------
-    // Key generation is by far the most expensive setup step; identities
-    // are independent, so generate them in parallel from per-identity
-    // seeds, with a process-wide cache so repeated sessions (tests,
-    // benches, experiment sweeps, survivor re-runs) reuse key pairs
-    // deterministically.
-    let mut identities: Vec<String> = (1..=m).map(|i| format!("P{i}")).collect();
-    identities.push(USER_IDENTITY.to_string());
-    let mut keys = generate_keys_cached(&identities, cfg.key_bits, cfg.seed)?;
-    let user = keys
-        .pop()
-        .ok_or_else(|| RunError::Crypto("key generation returned no user key".into()))?;
-    let registry = Registry::from_keypairs(keys.iter().chain(std::iter::once(&user)));
-    let dataset = crate::executor::dataset_cached(cfg.seed, cfg.key_bits, cfg.blocks, &user)?;
-
-    // Only the CP model lacks an originator, and it was rejected above.
-    let originator = cfg.model.originator(m).ok_or(RunError::UnsupportedModel)?;
-    let referee = Referee::new(
-        registry.clone(),
-        cfg.model,
-        cfg.z,
-        m,
-        cfg.fine,
-        cfg.blocks,
-    );
-    // Per-ROUND verification cache (never per-session): survivor re-runs
-    // rebind identities `P1..Pk` to different original processors, so the
-    // same (signer, body, signature) triple can verify under a *different*
-    // public key next round. A fresh cache per round keeps memoized
-    // verdicts sound.
-    let verify_cache = VerifyCache::new();
-    let profile = cfg.crypto_profile;
-
-    // --- Channels, barrier, transport -------------------------------------
-    let mut proc_txs = Vec::with_capacity(m);
-    let mut proc_rxs = Vec::with_capacity(m);
-    for _ in 0..m {
-        let (tx, rx) = unbounded();
-        proc_txs.push(tx);
-        proc_rxs.push(rx);
-    }
-    let (ref_tx, ref_rx) = unbounded();
-    let net = Arc::new(Net {
+    let round::Round {
+        ctx,
+        procs,
+        machines,
+        referee,
+    } = round::setup(cfg, active)?;
+    let m = ctx.m;
+    let (proc_txs, proc_rxs): (Vec<_>, Vec<_>) = (0..m).map(|_| mpsc::channel()).unzip();
+    let (referee_tx, referee_rx) = mpsc::channel();
+    let net = Net {
         proc_txs,
-        referee_tx: ref_tx,
-        stats: Mutex::new(MessageStats::default()),
-        bcast: Mutex::new(()),
-    });
-    // Parties 0..m are processors; party m is the referee. Only the
-    // referee's waits carry the phase deadline.
-    let barrier = Arc::new(PhaseBarrier::new(m + 1));
-    let budget = Duration::from_millis(cfg.phase_budget_ms);
-
-    let model = cfg.model;
-    let z = cfg.z;
-    let blocks_total = cfg.blocks;
-
-    // --- Run the actors ----------------------------------------------------
-    // Each actor returns a Result; a failing actor aborts the barrier so
-    // the rest unwind instead of deadlocking, and `join` never panics the
-    // runner (a panicked actor surfaces as `None`). The defaulted-party
-    // signal is the one actor error that does NOT abort the round: it only
-    // terminates a zombie thread the referee already removed.
-    let mut proc_joined: Vec<Option<Result<ProcResult, RunError>>> = Vec::with_capacity(m);
-    let mut referee_joined: Option<Result<RefResult, RunError>> = None;
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(m);
-        for (i, (rx, pcfg)) in proc_rxs.into_iter().zip(&procs).enumerate() {
-            let key = match keys.get(i) {
-                Some(k) => k.clone(),
-                None => {
-                    // Unreachable (one key per identity), but if it ever
-                    // happened the barrier must not wait on a thread that
-                    // was never spawned.
-                    barrier.abort(ProtocolViolation::invalid_state("missing processor key"));
-                    proc_joined.push(Some(Err(RunError::Crypto(format!(
-                        "no key generated for processor {i}"
-                    )))));
-                    continue;
-                }
-            };
-            let ctx = ProcCtx {
-                i,
-                budget_ms: cfg.phase_budget_ms,
-                m,
-                model,
-                z,
-                blocks_total,
-                originator,
-                cfg: *pcfg,
-                key,
-                registry: registry.clone(),
-                verify_cache: verify_cache.clone(),
-                profile,
-                net: Arc::clone(&net),
-                barrier: Arc::clone(&barrier),
-                rx,
-                dataset: (i == originator).then(|| Arc::clone(&dataset)),
-            };
-            let barrier = Arc::clone(&barrier);
-            handles.push(scope.spawn(move || {
-                let _guard = AbortOnPanic(Arc::clone(&barrier));
-                let r = processor_main(ctx);
-                if let Err(e) = &r {
-                    if !is_defaulted(e) {
-                        barrier.abort(violation_of(e));
-                    }
-                }
-                r
-            }));
-        }
-        let ref_handle = {
-            let net = Arc::clone(&net);
-            let barrier = Arc::clone(&barrier);
-            let dataset = Arc::clone(&dataset);
-            let referee = referee.clone();
-            let verify_cache = verify_cache.clone();
-            scope.spawn(move || {
-                let _guard = AbortOnPanic(Arc::clone(&barrier));
-                let r = referee_main(
-                    referee,
-                    m,
-                    net,
-                    Arc::clone(&barrier),
-                    ref_rx,
-                    dataset,
-                    budget,
-                    verify_cache,
-                    profile,
-                );
-                if let Err(e) = &r {
-                    barrier.abort(violation_of(e));
-                }
-                r
-            })
-        };
-        for h in handles {
-            proc_joined.push(h.join().ok());
-        }
-        referee_joined = ref_handle.join().ok();
-    });
-
-    let mut proc_results: Vec<ProcResult> = Vec::with_capacity(m);
-    for joined in proc_joined {
-        match joined {
-            Some(Ok(r)) => proc_results.push(r),
-            // A removed zombie: keep what little it produced (nothing).
-            Some(Err(e)) if is_defaulted(&e) => proc_results.push(ProcResult::default()),
-            Some(Err(e)) => return Err(e),
-            None => {
-                return Err(RunError::Protocol(ProtocolViolation::panicked(
-                    ActorRole::Processor,
-                )))
-            }
-        }
-    }
-    let rr = match referee_joined {
-        Some(Ok(rr)) => rr,
-        Some(Err(e)) => return Err(e),
-        None => {
-            return Err(RunError::Protocol(ProtocolViolation::panicked(
-                ActorRole::Referee,
-            )))
-        }
+        referee_tx,
+        wire: Mutex::new(MessageStats::default()),
     };
+    // Parties 0..m are processors; party m is the referee.
+    let barrier = PhaseBarrier::new(m + 1);
 
-    let messages = net.stats.lock().clone();
+    let (proc_results, rr) = std::thread::scope(|scope| {
+        let (ctx, net, barrier) = (&ctx, &net, &barrier);
+        let handles: Vec<_> = machines
+            .into_iter()
+            .zip(proc_rxs)
+            .map(|(machine, rx)| {
+                scope.spawn(move || {
+                    actor(barrier, || drive_processor(machine, ctx, net, barrier, rx))
+                })
+            })
+            .collect();
+        let referee = scope.spawn(move || {
+            actor(barrier, || {
+                drive_referee(referee, ctx, net, barrier, referee_rx)
+            })
+        });
+        let procs: Vec<_> = handles
+            .into_iter()
+            .map(|h| joined(h.join(), ActorRole::Processor))
+            .collect();
+        (procs, joined(referee.join(), ActorRole::Referee))
+    });
+    let proc_results = proc_results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let rr = rr?;
+    let messages = net.wire.lock().clone();
     Ok(RoundOutput {
         procs,
         proc_results,
@@ -1234,980 +948,103 @@ fn run_round(cfg: &SessionConfig, active: &[usize]) -> Result<RoundOutput, RunEr
     })
 }
 
-/// Parallel, cached deterministic key generation. Each `(identity, seed,
-/// bits)` triple always yields the same key pair within a process.
-pub(crate) fn generate_keys_cached(
-    identities: &[String],
-    bits: usize,
-    seed: u64,
-) -> Result<Vec<KeyPair>, RunError> {
-    type Cache = BTreeMap<(String, usize, u64), KeyPair>;
-    static CACHE: Mutex<Option<Cache>> = Mutex::new(None);
-
-    let mut misses: Vec<(usize, String)> = Vec::new();
-    let mut out: Vec<Option<KeyPair>> = vec![None; identities.len()];
-    {
-        let mut guard = CACHE.lock();
-        let cache = guard.get_or_insert_with(Cache::new);
-        for (idx, (slot, id)) in out.iter_mut().zip(identities).enumerate() {
-            match cache.get(&(id.clone(), bits, seed)) {
-                Some(kp) => *slot = Some(kp.clone()),
-                None => misses.push((idx, id.clone())),
-            }
+/// Runs one actor: a failing actor aborts the barrier so the rest unwind
+/// instead of deadlocking, and a panicking one aborts it through the drop
+/// guard. The defaulted-party signal is the one error that does NOT abort
+/// the round: it only ends a zombie thread the referee already removed.
+fn actor<T>(
+    barrier: &PhaseBarrier,
+    body: impl FnOnce() -> Result<T, RunError>,
+) -> Result<T, RunError> {
+    let _guard = AbortOnPanic(barrier);
+    let r = body();
+    if let Err(e) = &r {
+        if !is_defaulted(e) {
+            barrier.abort(violation_of(e));
         }
     }
-    if !misses.is_empty() {
-        let generated: Result<Vec<(usize, Result<KeyPair, RunError>)>, RunError> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = misses
-                    .iter()
-                    .map(|(idx, id)| {
-                        let idx = *idx;
-                        let id = id.clone();
-                        scope.spawn(move || {
-                            // Distinct deterministic stream per identity.
-                            let mut h = dls_crypto::sha256::Sha256::new();
-                            h.update(&seed.to_le_bytes());
-                            h.update(id.as_bytes());
-                            let digest = h.finalize();
-                            // Little-endian fold of the first 8 digest
-                            // bytes (equals u64::from_le_bytes without the
-                            // panicking slice-to-array conversion).
-                            let sub_seed = digest
-                                .iter()
-                                .take(8)
-                                .rev()
-                                .fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
-                            let mut rng = StdRng::seed_from_u64(sub_seed);
-                            let kp = KeyPair::generate(id, bits, &mut rng)
-                                .map_err(|e| RunError::Crypto(e.to_string()));
-                            (idx, kp)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .map_err(|_| RunError::Crypto("keygen thread panicked".into()))
-                    })
-                    .collect()
-            });
-        let mut guard = CACHE.lock();
-        let cache = guard.get_or_insert_with(Cache::new);
-        for (idx, kp) in generated? {
-            let kp = kp?;
-            cache.insert((kp.identity().to_string(), bits, seed), kp.clone());
-            if let Some(slot) = out.get_mut(idx) {
-                *slot = Some(kp);
-            }
-        }
-    }
-    out.into_iter()
-        .map(|kp| kp.ok_or_else(|| RunError::Crypto("missing generated key".into())))
-        .collect()
+    r
 }
 
-// ---------------------------------------------------------------------------
-// Fault-injection hooks
-// ---------------------------------------------------------------------------
-
-/// Phase-entry hook: `true` means the thread must exit now (crash fault).
-/// A delay fault sleeps here and then proceeds normally. The sleep is
-/// bounded by the phase budget: the config builder already rejects
-/// `DelayAt` delays at or above `phase_budget_ms`, but a hand-assembled
-/// config must not be able to stall a test run past the deadline the
-/// referee is already enforcing (the pooled executor advances a virtual
-/// clock instead and never sleeps at all).
-fn fault_entry(fault: &FaultPlan, phase: Phase, budget_ms: u64) -> bool {
-    match fault {
-        FaultPlan::CrashAt(p) if *p == phase => true,
-        FaultPlan::DelayAt(p, ms) if *p == phase => {
-            // dls-lint: allow(determinism) -- injected delay fault must burn real time
-            std::thread::sleep(Duration::from_millis((*ms).min(budget_ms)));
-            false
-        }
-        _ => false,
+/// An actor's joined result: a removed zombie keeps what little it
+/// produced (nothing), and a panicked actor fails the round instead of
+/// the runner.
+fn joined<T: Default>(
+    r: std::thread::Result<Result<T, RunError>>,
+    role: ActorRole,
+) -> Result<T, RunError> {
+    match r {
+        Ok(Err(e)) if is_defaulted(&e) => Ok(T::default()),
+        Ok(r) => r,
+        Err(_) => Err(RunError::Protocol(ProtocolViolation::panicked(role))),
     }
 }
 
-/// Outbound-message hook: `None` drops the message (mute), a garbage
-/// frame replaces it for a garbling fault, otherwise it passes through.
-pub(crate) fn faulted_send(fault: &FaultPlan, phase: Phase, from: usize, msg: Msg) -> Option<Msg> {
-    if fault.garbles(phase) {
-        Some(Msg::Garbage { from })
-    } else if fault.silences(phase) {
-        None
-    } else {
-        Some(msg)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Processor actor
-// ---------------------------------------------------------------------------
-
-struct ProcCtx {
-    i: usize,
-    /// Phase budget in milliseconds; bounds injected delay sleeps.
-    budget_ms: u64,
-    m: usize,
-    model: SystemModel,
-    z: f64,
-    blocks_total: usize,
-    originator: usize,
-    cfg: ProcessorConfig,
-    key: KeyPair,
-    registry: Registry,
-    /// Round-scoped memo of signature verdicts, shared by every receiver.
-    verify_cache: VerifyCache,
-    profile: CryptoProfile,
-    net: Arc<Net>,
-    barrier: Arc<PhaseBarrier>,
+/// A processor thread: at each step, drain the channel, act, deliver,
+/// then wait at the barrier. A crashed or halted machine leaves without
+/// arriving; a delay fault sleeps before arriving, bounded by the phase
+/// budget so a hand-assembled config cannot stall a run past the deadline
+/// the referee already enforces.
+fn drive_processor(
+    mut machine: ProcMachine,
+    ctx: &RoundCtx,
+    net: &Net,
+    barrier: &PhaseBarrier,
     rx: Receiver<Msg>,
-    /// The user's data set — held only by the originating processor.
-    dataset: Option<Arc<DataSet>>,
+) -> Result<ProcResult, RunError> {
+    let mut inbox = VecDeque::new();
+    let mut outbox = Vec::new();
+    for (step, _) in SCHEDULE {
+        intake(&rx, &mut inbox);
+        machine.act(step, ctx, &mut inbox, &mut outbox)?;
+        net.deliver(machine.i, &mut outbox);
+        if machine.stopped() {
+            return Ok(machine.result);
+        }
+        if let Some(ms) = machine.arrival_delay().filter(|&ms| ms > 0) {
+            // dls-lint: allow(determinism) -- injected delay fault must burn real time
+            std::thread::sleep(Duration::from_millis(ms.min(ctx.budget_ms)));
+        }
+        barrier.wait_as(machine.i)?;
+    }
+    intake(&rx, &mut inbox);
+    machine.finish(&mut inbox);
+    Ok(machine.result)
 }
 
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ProcResult {
-    pub(crate) bid: Option<f64>,
-    pub(crate) alloc_fraction: f64,
-    pub(crate) blocks_granted: usize,
-    pub(crate) meter: f64,
-}
-
-fn processor_main(ctx: ProcCtx) -> Result<ProcResult, RunError> {
-    let ProcCtx {
-        i,
-        budget_ms,
-        m,
-        model,
-        z,
-        blocks_total,
-        originator,
-        cfg,
-        key,
-        registry,
-        verify_cache,
-        profile,
-        net,
-        barrier,
-        rx,
-        dataset,
-    } = ctx;
-    let sign_err = |e: dls_crypto::pki::SignatureError| RunError::Crypto(e.to_string());
-    let fault = cfg.fault;
-    let mut inbox = ProcInbox::new(rx);
-    let mut result = ProcResult::default();
-
-    // ---- Phase 1: Bidding --------------------------------------------------
-    if fault_entry(&fault, Phase::Bidding, budget_ms) {
-        return Ok(result); // crash: never arrives at a barrier
-    }
-    let my_bid = cfg.bid().ok_or_else(|| {
-        RunError::Protocol(
-            ProtocolViolation::invalid_state("a non-participant reached the bidding phase")
-                .at_phase(Phase::Bidding),
-        )
-    })?;
-    let first = key
-        .sign(BidBody {
-            processor: i,
-            bid: my_bid,
-        })
-        .map_err(sign_err)?;
-    match faulted_send(&fault, Phase::Bidding, i, Msg::Bid(first.clone())) {
-        Some(garbage @ Msg::Garbage { .. }) => net.broadcast(i, garbage),
-        Some(msg) => {
-            result.bid = Some(my_bid);
-            net.broadcast(i, msg);
-            match cfg.behavior {
-                Behavior::EquivocateBids { factor } => {
-                    let second = key
-                        .sign(BidBody {
-                            processor: i,
-                            bid: my_bid * factor,
-                        })
-                        .map_err(sign_err)?;
-                    net.broadcast(i, Msg::Bid(second));
-                }
-                Behavior::ForgeExtraBid { impersonate } => {
-                    // A bid claiming to come from someone else, with garbage
-                    // signature bytes (signature forgery is assumed impossible,
-                    // Lemma 5.2). Receivers must discard it.
-                    let forged = Signed::forge(
-                        BidBody {
-                            processor: impersonate,
-                            bid: 0.01,
-                        },
-                        format!("P{}", impersonate + 1),
-                        vec![0x5a; 48],
-                    );
-                    net.broadcast(i, Msg::Bid(forged));
-                }
-                _ => {}
-            }
-        }
-        None => {} // mute: the bid is withheld
-    }
-    barrier.wait_as(i)?; // B1: all bids delivered
-
-    // Collect bids; note equivocators.
-    let mut bid_view: Vec<Option<Signed<BidBody>>> = vec![None; m];
-    if let Some(slot) = bid_view.get_mut(i) {
-        *slot = Some(first);
-    }
-    let mut equivocation: Option<(usize, Signed<BidBody>, Signed<BidBody>)> = None;
-    let incoming_bids = inbox.take_all(|m| match m {
-        Msg::Bid(signed) => Some(signed.clone()),
-        _ => None,
-    });
-    for signed in incoming_bids {
-        // The all-to-all broadcast is the verification hot spot: m·(m−1)
-        // envelope checks per round. Under the amortized profile the
-        // round-shared cache collapses that to one modexp per distinct
-        // envelope; the naive profile verifies per receiver as a baseline.
-        let Ok(body) = verify_profiled(&signed, &registry, &verify_cache, profile) else {
-            continue; // failed verification: discarded (§4)
-        };
-        let sender = body.processor;
-        if signed.signer() != format!("P{}", sender + 1) {
-            continue;
-        }
-        // Validate the bid value at receipt: only finite positive rates
-        // form valid bus parameters, so everything downstream (α, counts,
-        // payments) is infallible on the agreed vector. An invalid value
-        // is discarded like a failed signature.
-        if !(body.bid.is_finite() && body.bid > 0.0) {
-            continue;
-        }
-        // `get_mut` also rejects out-of-range sender indices.
-        let Some(slot) = bid_view.get_mut(sender) else {
-            continue;
-        };
-        if let Some(existing) = slot {
-            if existing.body_unverified() != signed.body_unverified() {
-                equivocation = Some((sender, existing.clone(), signed));
-            }
-        } else {
-            *slot = Some(signed);
-        }
-    }
-    let report = match &equivocation {
-        Some((who, a, b)) => PhaseReport::Accuse {
-            accused: *who,
-            evidence: Evidence::Equivocation {
-                first: a.clone(),
-                second: b.clone(),
-            },
-        },
-        None => PhaseReport::Ok,
-    };
-    if let Some(msg) = faulted_send(&fault, Phase::Bidding, i, Msg::Report { from: i, report }) {
-        net.to_referee(i, msg);
-    }
-    barrier.wait_as(i)?; // B2: reports in
-    barrier.wait_as(i)?; // B3: verdict broadcast
-    let verdict = inbox
-        .take_verdict()
-        .ok_or_else(|| missing("bidding verdict", Phase::Bidding))?;
-    if !verdict.proceed {
-        return Ok(result);
-    }
-
-    // ---- Phase 2: Allocating load -------------------------------------------
-    if fault_entry(&fault, Phase::Allocating, budget_ms) {
-        return Ok(result);
-    }
-    // Everyone has exactly one bid per peer now (otherwise the session
-    // would have aborted); assemble the agreed bid vector.
-    let mut signed_bids: Vec<Signed<BidBody>> = Vec::with_capacity(m);
-    for b in bid_view {
-        signed_bids.push(b.ok_or_else(|| missing("peer bid after clean bidding phase", Phase::Bidding))?);
-    }
-    let bids: Vec<f64> = signed_bids
-        .iter()
-        .map(|s| s.body_unverified().bid)
-        .collect();
-    // Infallible: every collected bid was validated finite-positive above.
-    let params = BusParams::new(z, bids.clone()).map_err(|_| {
-        RunError::Protocol(
-            ProtocolViolation::invalid_state("agreed bids do not form valid bus parameters")
-                .at_phase(Phase::Allocating),
-        )
-    })?;
-    let alpha = dls_dlt::optimal::fractions(model, &params);
-    let counts = integer_allocation(&alpha, blocks_total);
-    result.alloc_fraction = alpha.get(i).copied().unwrap_or(0.0);
-
-    let mut my_blocks: Vec<crate::blocks::SignedBlock> = Vec::new();
-    if i == originator {
-        // The originator holds the data set (it received it from the user
-        // out of band). Deviant originators tamper with the counts here.
-        let dataset = dataset.as_ref().ok_or_else(|| {
-            RunError::Protocol(
-                ProtocolViolation::invalid_state("originator is missing the data set")
-                    .at_phase(Phase::Allocating),
-            )
-        })?;
-        let grants = dataset.split(&counts);
-        for (to, blocks) in grants.into_iter().enumerate() {
-            if to == i {
-                my_blocks = blocks;
-                continue;
-            }
-            let mut blocks = blocks;
-            match cfg.behavior {
-                Behavior::ShortAllocate { victim, shortfall } if victim == to => {
-                    let keep = blocks.len().saturating_sub(shortfall);
-                    blocks.truncate(keep);
-                }
-                Behavior::OverAllocate { victim, excess } if victim == to => {
-                    // Pad with duplicates of the victim's first block (or
-                    // block 0 of the data set when the grant is empty).
-                    if let Some(pad) = blocks.first().or_else(|| dataset.blocks().first()).cloned()
-                    {
-                        for _ in 0..excess {
-                            blocks.push(pad.clone());
-                        }
-                    }
-                }
-                _ => {}
-            }
-            let grant = key.sign(GrantBody { to, blocks }).map_err(sign_err)?;
-            if let Some(msg) = faulted_send(&fault, Phase::Allocating, i, Msg::Grant(grant)) {
-                net.unicast(to, msg);
-            }
-        }
-        result.blocks_granted = my_blocks.len();
-    }
-    barrier.wait_as(i)?; // B4: grants delivered
-
-    let mut alloc_report = PhaseReport::Ok;
-    if i != originator {
-        let granted: Option<Signed<GrantBody>> = inbox
-            .take_all(|m| match m {
-                Msg::Grant(g) => Some(g.clone()),
-                _ => None,
-            })
-            .pop();
-        match granted {
-            Some(grant) => {
-                let valid_blocks = verify_profiled(&grant, &registry, &verify_cache, profile)
-                    .map(|body| {
-                        body.blocks
-                            .iter()
-                            .filter(|b| {
-                                verify_profiled(b, &registry, &verify_cache, profile).is_ok()
-                            })
-                            .count()
-                    })
-                    .unwrap_or(0);
-                result.blocks_granted = valid_blocks;
-                my_blocks = grant.body_unverified().blocks.clone();
-                let expected = counts.get(i).copied().unwrap_or(0);
-                let mismatch = valid_blocks != expected;
-                let false_accusation =
-                    cfg.behavior == Behavior::FalselyAccuseAllocation && !mismatch;
-                if mismatch || false_accusation {
-                    alloc_report = PhaseReport::Accuse {
-                        accused: originator,
-                        evidence: Evidence::WrongAllocation {
-                            grant: grant.clone(),
-                            bid_view: signed_bids.clone(),
-                            expected_blocks: expected,
-                        },
-                    };
-                }
-            }
-            None => {
-                // No grant at all — either the originator deviated silently
-                // or it defaulted (crash/mute). Nothing signed exists to
-                // accuse with, so the processor stays silent; a defaulted
-                // originator is detected by the referee's own deadline and
-                // message sweeps instead.
-            }
-        }
-    }
-    if let Some(msg) = faulted_send(
-        &fault,
-        Phase::Allocating,
-        i,
-        Msg::Report {
-            from: i,
-            report: alloc_report,
-        },
-    ) {
-        net.to_referee(i, msg);
-    }
-    barrier.wait_as(i)?; // B5: allocation reports in
-    barrier.wait_as(i)?; // B6: verdict broadcast
-    let verdict = inbox
-        .take_verdict()
-        .ok_or_else(|| missing("allocation verdict", Phase::Allocating))?;
-    if !verdict.proceed {
-        return Ok(result);
-    }
-
-    // ---- Phase 3: Processing -------------------------------------------------
-    if fault_entry(&fault, Phase::Processing, budget_ms) {
-        return Ok(result); // crash: the blocks are never processed
-    }
-    // The tamper-proof meter measures the time actually spent computing:
-    // φ_i = (granted blocks / total) · w̃_i. The agent cannot influence this
-    // message (the runtime emits it from the configuration, not from any
-    // strategy hook) — but a dead or wedged node's meter frame can still be
-    // absent or corrupted, which is what the fault hook models.
-    let real_fraction = my_blocks.len() as f64 / blocks_total as f64;
-    let phi = real_fraction * cfg.exec_w();
-    result.meter = phi;
-    if let Some(msg) = faulted_send(&fault, Phase::Processing, i, Msg::Meter { of: i, phi }) {
-        net.to_referee(i, msg);
-    }
-    barrier.wait_as(i)?; // B7: meters in
-    barrier.wait_as(i)?; // B8: meters broadcast
-    let meters: Vec<f64> = inbox
-        .take_first(|m| match m {
-            Msg::Meters(v) => Some(v.clone()),
-            _ => None,
-        })
-        .ok_or_else(|| missing("meter vector", Phase::Processing))?;
-
-    // ---- Phase 4: Computing payments ------------------------------------------
-    if fault_entry(&fault, Phase::Payments, budget_ms) {
-        return Ok(result);
-    }
-    // w̃_j = φ_j / α_j (per §4, Computing Payments).
-    let observed: Vec<f64> = meters
-        .iter()
-        .zip(&alpha)
-        .map(|(phi, a)| if *a > 0.0 { phi / a } else { 0.0 })
-        .collect();
-    // Guard degenerate observed rates (zero-block processors and absent
-    // meter readings from defaulted peers) with the bid.
-    let observed: Vec<f64> = observed
-        .iter()
-        .zip(&bids)
-        .map(|(o, b)| if *o > 0.0 { *o } else { *b })
-        .collect();
-    let mut q: Vec<PaymentEntry> =
-        dls_mechanism::compute_payments(model, &params, &alpha, &observed)
-            .into_iter()
-            .map(|p| PaymentEntry {
-                compensation: p.compensation,
-                bonus: p.bonus,
-            })
-            .collect();
-    if let Behavior::CorruptPayments { target, factor } = cfg.behavior {
-        if let Some(entry) = q.get_mut(target) {
-            entry.compensation *= factor;
-        }
-    }
-    let pv = key
-        .sign(PaymentVectorBody { processor: i, q })
-        .map_err(sign_err)?;
-    if let Some(msg) = faulted_send(&fault, Phase::Payments, i, Msg::PaymentVector(pv)) {
-        net.to_referee(i, msg);
-    }
-    barrier.wait_as(i)?; // B9: vectors in
-    barrier.wait_as(i)?; // B10: equality verdict or bid request
-    let bid_request = !inbox
-        .take_all(|m| matches!(m, Msg::BidRequest).then_some(()))
-        .is_empty();
-    if bid_request {
-        if let Some(msg) = faulted_send(
-            &fault,
-            Phase::Payments,
-            i,
-            Msg::BidView {
-                from: i,
-                view: signed_bids.clone(),
-            },
-        ) {
-            net.to_referee(i, msg);
-        }
-    }
-    barrier.wait_as(i)?; // B11: bid views in (possibly none)
-    barrier.wait_as(i)?; // B12: final verdict
-    let _ = inbox.take_verdict();
-    Ok(result)
-}
-
-// ---------------------------------------------------------------------------
-// Referee actor
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-pub(crate) struct RefResult {
-    pub(crate) aborted: Option<Phase>,
-    pub(crate) any_fines: bool,
-    pub(crate) verdicts: Vec<(Phase, Verdict)>,
-    pub(crate) meters: Option<Vec<f64>>,
-    pub(crate) final_q: Option<Vec<PaymentEntry>>,
-    /// Liveness faults detected this round (active-set indexing).
-    pub(crate) faults: Vec<LivenessFault>,
-    /// Parties defaulted by the verdict that aborted the round
-    /// (pre-Processing liveness faults, active-set indexing).
-    pub(crate) defaulted_pre: Vec<usize>,
-    /// Processors that delivered a verified payment vector of their own.
-    pub(crate) delivered_vectors: BTreeSet<usize>,
-    /// `true` when the aborting verdict also fined a *strategic* deviant
-    /// (evidence-based offence); such a session ends aborted instead of
-    /// re-running, exactly as before faults existed.
-    pub(crate) strategic_abort: bool,
-}
-
-/// The referee's liveness bookkeeping for one round: which parties are
-/// still alive, who sent garbage, and every fault detected so far. The
-/// referee is the only actor whose barrier waits carry the phase deadline;
-/// a party it removes is declared crashed, and expected-sender sweeps at
-/// each collection point classify silent-but-alive parties as omission
-/// (or garbage) faults.
-struct RoundWatch {
-    barrier: Arc<PhaseBarrier>,
-    budget: Duration,
-    referee_id: usize,
-    alive: Vec<bool>,
-    garbage: BTreeSet<usize>,
-    faults: Vec<LivenessFault>,
-}
-
-impl RoundWatch {
-    fn new(barrier: Arc<PhaseBarrier>, budget: Duration, m: usize) -> Self {
-        RoundWatch {
-            barrier,
-            budget,
-            referee_id: m,
-            alive: vec![true; m],
-            garbage: BTreeSet::new(),
-            faults: Vec::new(),
-        }
-    }
-
-    /// One deadline-bounded barrier wait. Parties missing at the deadline
-    /// are removed from the barrier and recorded as crashed at `phase`.
-    fn checkpoint(&mut self, phase: Phase) -> Result<(), RunError> {
-        let removed = self.barrier.wait_deadline_as(self.referee_id, self.budget)?;
-        for id in removed {
-            if let Some(slot) = self.alive.get_mut(id) {
-                if *slot {
-                    *slot = false;
-                    self.faults.push(LivenessFault {
-                        phase,
-                        processor: id,
-                        kind: FaultKind::Crash,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Remembers that `from` delivered a garbage frame, so its silence is
-    /// classified as a garbage fault rather than a plain omission.
-    fn note_garbage(&mut self, from: usize) {
-        if from < self.alive.len() {
-            self.garbage.insert(from);
-        }
-    }
-
-    /// Expected-sender sweep at a collection point: every alive party not
-    /// in `senders` is recorded as an omission (or garbage) fault at
-    /// `phase`. Dead parties were already recorded by [`Self::checkpoint`].
-    fn sweep(&mut self, phase: Phase, senders: &BTreeSet<usize>) {
-        let missing: Vec<usize> = self
-            .alive
-            .iter()
-            .enumerate()
-            .filter(|(id, alive)| **alive && !senders.contains(id))
-            .map(|(id, _)| id)
-            .collect();
-        for id in missing {
-            let kind = if self.garbage.contains(&id) {
-                FaultKind::Garbage
-            } else {
-                FaultKind::Omission
-            };
-            self.faults.push(LivenessFault {
-                phase,
-                processor: id,
-                kind,
-            });
-        }
-    }
-
-    /// Parties with a fault detected at `phase`.
-    fn defaulted_at(&self, phase: Phase) -> BTreeSet<usize> {
-        self.faults
-            .iter()
-            .filter(|f| f.phase == phase)
-            .map(|f| f.processor)
-            .collect()
-    }
-}
-
-/// Folds liveness defaulters into a strategic verdict: the merged deviant
-/// set is fined per the §4 schedule (`F` each, pot split among survivors)
-/// and the verdict aborts iff `abort`. Returns the merged verdict and
-/// whether the *strategic* verdict alone already fined someone.
-pub(crate) fn merge_defaults(
-    referee: &Referee,
-    strategic: Verdict,
-    defaulted: &BTreeSet<usize>,
-    abort: bool,
-) -> (Verdict, bool) {
-    let strategic_fines = !strategic.fined.is_empty();
-    if defaulted.is_empty() {
-        return (strategic, strategic_fines);
-    }
-    let mut deviants: BTreeSet<usize> = strategic.fined.iter().map(|&(i, _)| i).collect();
-    deviants.extend(defaulted.iter().copied());
-    (referee.verdict_for(&deviants, abort), strategic_fines)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn referee_main(
-    referee: Referee,
-    m: usize,
-    net: Arc<Net>,
-    barrier: Arc<PhaseBarrier>,
+/// The referee thread: at each step, drain the channel, act and deliver,
+/// then wait at the barrier with the phase deadline and record the parties
+/// still missing at it as crashed.
+fn drive_referee(
+    mut referee: RefereeMachine,
+    ctx: &RoundCtx,
+    net: &Net,
+    barrier: &PhaseBarrier,
     rx: Receiver<(usize, Msg)>,
-    dataset: Arc<DataSet>,
-    budget: Duration,
-    verify_cache: VerifyCache,
-    profile: CryptoProfile,
 ) -> Result<RefResult, RunError> {
-    let mut result = RefResult {
-        aborted: None,
-        any_fines: false,
-        verdicts: Vec::new(),
-        meters: None,
-        final_q: None,
-        faults: Vec::new(),
-        defaulted_pre: Vec::new(),
-        delivered_vectors: BTreeSet::new(),
-        strategic_abort: false,
-    };
-    let mut watch = RoundWatch::new(barrier, budget, m);
-
-    // ---- Bidding ----
-    watch.checkpoint(Phase::Bidding)?; // B1
-    watch.checkpoint(Phase::Bidding)?; // B2: reports are in
-    let (reports, garbage) = collect_reports(&rx);
-    for from in garbage {
-        watch.note_garbage(from);
-    }
-    let senders: BTreeSet<usize> = reports.iter().map(|(from, _)| *from).collect();
-    watch.sweep(Phase::Bidding, &senders);
-    let strategic = referee.adjudicate_bidding(&reports);
-    let defaulted = watch.defaulted_at(Phase::Bidding);
-    let (verdict, strategic_fines) = merge_defaults(&referee, strategic, &defaulted, true);
-    record_verdict(&mut result, Phase::Bidding, &verdict);
-    net.broadcast_referee(Msg::Verdict(verdict.clone()));
-    watch.checkpoint(Phase::Bidding)?; // B3
-    if !verdict.proceed {
-        result.aborted = Some(Phase::Bidding);
-        result.strategic_abort = strategic_fines;
-        result.defaulted_pre = defaulted.into_iter().collect();
-        result.faults = watch.faults;
-        return Ok(result);
-    }
-
-    // ---- Allocating ----
-    watch.checkpoint(Phase::Allocating)?; // B4
-    watch.checkpoint(Phase::Allocating)?; // B5: allocation reports in
-    let (reports, garbage) = collect_reports(&rx);
-    for from in garbage {
-        watch.note_garbage(from);
-    }
-    let senders: BTreeSet<usize> = reports.iter().map(|(from, _)| *from).collect();
-    watch.sweep(Phase::Allocating, &senders);
-    let strategic = referee.adjudicate_allocation(&reports, &dataset);
-    let defaulted = watch.defaulted_at(Phase::Allocating);
-    let (verdict, strategic_fines) = merge_defaults(&referee, strategic, &defaulted, true);
-    record_verdict(&mut result, Phase::Allocating, &verdict);
-    net.broadcast_referee(Msg::Verdict(verdict.clone()));
-    watch.checkpoint(Phase::Allocating)?; // B6
-    if !verdict.proceed {
-        result.aborted = Some(Phase::Allocating);
-        result.strategic_abort = strategic_fines;
-        result.defaulted_pre = defaulted.into_iter().collect();
-        result.faults = watch.faults;
-        return Ok(result);
-    }
-
-    // ---- Processing ----
-    // Liveness faults from here on cannot abort the round: work is (being)
-    // done. A missing meter reads 0 and the observed rate falls back to the
-    // bid; a missing payment vector is fined by the ordinary payment
-    // adjudication below.
-    watch.checkpoint(Phase::Processing)?; // B7: meters in
-    let mut meter_slots: Vec<Option<f64>> = vec![None; m];
-    for (from, msg) in drain_referee(&rx) {
-        match msg {
-            Msg::Meter { of, phi } => {
-                // `get_mut` discards meter readings with an out-of-range
-                // subject instead of tearing the session down; the runtime
-                // emits these from validated indices.
-                if let Some(slot) = meter_slots.get_mut(of) {
-                    *slot = Some(phi);
-                }
-            }
-            Msg::Garbage { .. } => watch.note_garbage(from),
-            _ => {}
+    let budget = Duration::from_millis(ctx.budget_ms);
+    let mut inbox = Vec::new();
+    let mut outbox = Vec::new();
+    for (step, phase) in SCHEDULE {
+        inbox.extend(rx.try_iter());
+        referee.act(step, ctx, &mut inbox, &mut outbox)?;
+        net.deliver(ctx.m, &mut outbox);
+        let removed = barrier.wait_deadline_as(ctx.m, budget)?;
+        referee.record_removed(phase, &removed);
+        if referee.settled() {
+            break;
         }
     }
-    let senders: BTreeSet<usize> = meter_slots
-        .iter()
-        .enumerate()
-        .filter_map(|(id, s)| s.map(|_| id))
-        .collect();
-    watch.sweep(Phase::Processing, &senders);
-    let meters: Vec<f64> = meter_slots.iter().map(|s| s.unwrap_or(0.0)).collect();
-    result.meters = Some(meters.clone());
-    net.broadcast_referee(Msg::Meters(meters.clone()));
-    watch.checkpoint(Phase::Processing)?; // B8
-
-    // ---- Payments ----
-    watch.checkpoint(Phase::Payments)?; // B9: payment vectors in
-    let mut vectors = Vec::new();
-    for (from, msg) in drain_referee(&rx) {
-        match msg {
-            Msg::PaymentVector(v) => vectors.push(v),
-            Msg::Garbage { .. } => watch.note_garbage(from),
-            _ => {}
-        }
-    }
-    // Phase-level batch sweep: settle every envelope's verdict once, up
-    // front. The delivered sweep below, the equality check, and (on
-    // dispute) the adjudication path all re-examine the same vectors, so
-    // under the amortized profile they hit memoized verdicts instead of
-    // repeating the modexp.
-    if profile == CryptoProfile::Amortized {
-        for sv in &vectors {
-            let _ = sv.verify_cached(referee_registry(&referee), &verify_cache);
-        }
-    }
-    let mut delivered = BTreeSet::new();
-    for sv in &vectors {
-        if let Ok(body) = verify_profiled(sv, referee_registry(&referee), &verify_cache, profile) {
-            if sv.signer() == format!("P{}", body.processor + 1) && body.processor < m {
-                delivered.insert(body.processor);
-            }
-        }
-    }
-    watch.sweep(Phase::Payments, &delivered);
-    result.delivered_vectors = delivered;
-
-    // First, the cheap equality check (no processor parameters needed).
-    let agreed = if vectors_all_equal(&vectors, m, &referee, &verify_cache, profile) {
-        vectors.first()
-    } else {
-        None
-    };
-    if let Some(first) = agreed {
-        // Forward the agreed vector.
-        let q = first.body_unverified().q.clone();
-        result.final_q = Some(q);
-        net.broadcast_referee(Msg::Verdict(Verdict::ok()));
-        record_verdict(&mut result, Phase::Payments, &Verdict::ok());
-        watch.checkpoint(Phase::Payments)?; // B10
-        watch.checkpoint(Phase::Payments)?; // B11 (no bid views)
-        net.broadcast_referee(Msg::Verdict(Verdict::ok()));
-        watch.checkpoint(Phase::Payments)?; // B12
-        result.faults = watch.faults;
-        return Ok(result);
-    }
-
-    // Vectors disagree (or a defaulter's is missing): request the bids (§4).
-    net.broadcast_referee(Msg::BidRequest);
-    watch.checkpoint(Phase::Payments)?; // B10
-    watch.checkpoint(Phase::Payments)?; // B11: bid views in
-    let mut bids: Option<Vec<f64>> = None;
-    for (from, msg) in drain_referee(&rx) {
-        match msg {
-            Msg::BidView { view, .. } => {
-                if bids.is_none() {
-                    if let Some(b) = verify_bid_view(&view, m, &referee, &verify_cache, profile) {
-                        bids = Some(b);
-                    }
-                }
-            }
-            Msg::Garbage { .. } => watch.note_garbage(from),
-            _ => {}
-        }
-    }
-    // At least one honest processor exists under the fault model (§5);
-    // if every submitted view is unverifiable the session cannot be
-    // adjudicated and errors out instead of panicking the referee.
-    let bids = bids.ok_or_else(|| {
-        RunError::Protocol(
-            ProtocolViolation::invalid_state(
-                "no verifiable bid view received for payment adjudication",
-            )
-            .at_phase(Phase::Payments),
-        )
-    })?;
-    let params = BusParams::new(referee_z(&referee), bids.clone()).map_err(|_| {
-        RunError::Protocol(
-            ProtocolViolation::invalid_state("verified bid view has invalid rates")
-                .at_phase(Phase::Payments),
-        )
-    })?;
-    let alpha = dls_dlt::optimal::fractions(referee_model(&referee), &params);
-    let observed: Vec<f64> = meters
-        .iter()
-        .zip(alpha.iter())
-        .zip(bids.iter())
-        .map(|((phi, a), b)| if *a > 0.0 && *phi > 0.0 { phi / a } else { *b })
-        .collect();
-    let (verdict, correct) = referee
-        .adjudicate_payments(&vectors, &bids, &observed)
-        .map_err(|e| {
-            RunError::Protocol(
-                ProtocolViolation::invalid_state(e.to_string()).at_phase(Phase::Payments),
-            )
-        })?;
-    result.final_q = Some(correct);
-    record_verdict(&mut result, Phase::Payments, &verdict);
-    net.broadcast_referee(Msg::Verdict(verdict));
-    watch.checkpoint(Phase::Payments)?; // B12
-    result.faults = watch.faults;
-    Ok(result)
-}
-
-/// Reports (sorted by sender) plus the transport-level senders of garbage
-/// frames observed at this collection point.
-fn collect_reports(rx: &Receiver<(usize, Msg)>) -> (Vec<(usize, PhaseReport)>, Vec<usize>) {
-    let mut out = Vec::new();
-    let mut garbage = Vec::new();
-    for (from, msg) in drain_referee(rx) {
-        match msg {
-            Msg::Report { report, .. } => out.push((from, report)),
-            Msg::Garbage { .. } => garbage.push(from),
-            _ => {}
-        }
-    }
-    out.sort_by_key(|(from, _)| *from);
-    (out, garbage)
-}
-
-pub(crate) fn record_verdict(result: &mut RefResult, phase: Phase, verdict: &Verdict) {
-    if !verdict.fined.is_empty() {
-        result.any_fines = true;
-    }
-    result.verdicts.push((phase, verdict.clone()));
-}
-
-/// Routes one envelope verification through the session's crypto profile:
-/// `Amortized` memoizes the verdict in the round-shared [`VerifyCache`]
-/// (one modexp per distinct envelope, every later receiver hits the
-/// cache); `PerReceiverNaive` re-verifies via plain `pow_mod` every time,
-/// modelling the pre-Montgomery per-receiver cost. Verification is
-/// deterministic, so both routes return identical verdicts — the profile
-/// changes only how many modexps are spent, never the outcome.
-pub(crate) fn verify_profiled<'a, T: serde::Serialize>(
-    signed: &'a Signed<T>,
-    registry: &Registry,
-    cache: &VerifyCache,
-    profile: CryptoProfile,
-) -> Result<&'a T, SignatureError> {
-    match profile {
-        CryptoProfile::Amortized => signed.verify_cached(registry, cache),
-        CryptoProfile::PerReceiverNaive => signed.verify_naive(registry),
-    }
-}
-
-/// Equality check across submitted payment vectors: requires a verified
-/// vector from each of the `m` processors, all numerically equal.
-pub(crate) fn vectors_all_equal(
-    vectors: &[Signed<PaymentVectorBody>],
-    m: usize,
-    referee: &Referee,
-    cache: &VerifyCache,
-    profile: CryptoProfile,
-) -> bool {
-    use crate::referee::payments_agree;
-    let mut per_proc: Vec<Option<&PaymentVectorBody>> = vec![None; m];
-    for sv in vectors {
-        let Ok(body) = verify_profiled(sv, referee_registry(referee), cache, profile) else {
-            return false;
-        };
-        // `get_mut` rejects out-of-range indices; duplicates also fail.
-        let Some(slot) = per_proc.get_mut(body.processor) else {
-            return false;
-        };
-        if slot.is_some() {
-            return false;
-        }
-        *slot = Some(body);
-    }
-    let Some(first) = per_proc.first().and_then(|b| *b) else {
-        return false;
-    };
-    per_proc.iter().all(|b| match b {
-        Some(body) => {
-            body.q.len() == first.q.len()
-                && body.q.iter().zip(&first.q).all(|(a, b)| {
-                    payments_agree(a.compensation, b.compensation)
-                        && payments_agree(a.bonus, b.bonus)
-                })
-        }
-        None => false,
-    })
-}
-
-pub(crate) fn verify_bid_view(
-    view: &[Signed<BidBody>],
-    m: usize,
-    referee: &Referee,
-    cache: &VerifyCache,
-    profile: CryptoProfile,
-) -> Option<Vec<f64>> {
-    if view.len() != m {
-        return None;
-    }
-    let mut bids = vec![f64::NAN; m];
-    for sb in view {
-        let body = verify_profiled(sb, referee_registry(referee), cache, profile).ok()?;
-        if sb.signer() != format!("P{}", body.processor + 1) {
-            return None;
-        }
-        // Only finite positive rates form valid bus parameters; a view
-        // carrying anything else is rejected like a bad signature.
-        if !(body.bid.is_finite() && body.bid > 0.0) {
-            return None;
-        }
-        // `get_mut` also rejects out-of-range indices; a non-NaN slot is
-        // a duplicate.
-        let slot = bids.get_mut(body.processor)?;
-        if !slot.is_nan() {
-            return None;
-        }
-        *slot = body.bid;
-    }
-    Some(bids)
-}
-
-// Small accessors so the referee actor can reuse the referee's public
-// session facts without widening Referee's API surface.
-pub(crate) fn referee_registry(r: &Referee) -> &Registry {
-    r.registry()
-}
-
-pub(crate) fn referee_model(r: &Referee) -> SystemModel {
-    r.model()
-}
-
-pub(crate) fn referee_z(r: &Referee) -> f64 {
-    r.z()
+    Ok(referee.into_result())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use crate::messages::{BidBody, Verdict};
+    use crate::round::{generate_keys_cached, take_all_msgs, take_verdict};
+    use dls_crypto::Signed;
+    use std::sync::Arc;
 
     fn bid_msg(processor: usize, bid: f64) -> Msg {
         // A syntactically valid (unverifiable) bid message for transport
@@ -2219,69 +1056,80 @@ mod tests {
         ))
     }
 
+    fn bid_senders(inbox: &mut VecDeque<Msg>) -> Vec<usize> {
+        take_all_msgs(inbox, |m| match m {
+            Msg::Bid(b) => Some(b.body_unverified().processor),
+            _ => None,
+        })
+    }
+
     #[test]
     fn inbox_drain_returns_pending_first() {
-        let (tx, rx) = unbounded();
-        let mut inbox = ProcInbox::new(rx);
+        let (tx, rx) = mpsc::channel();
+        let mut inbox = VecDeque::new();
         tx.send(bid_msg(0, 1.0)).unwrap();
         tx.send(Msg::Verdict(Verdict::ok())).unwrap();
         // Take the verdict; the bid must be held back...
-        let v = inbox.take_verdict().unwrap();
+        intake(&rx, &mut inbox);
+        let v = take_verdict(&mut inbox).unwrap();
         assert!(v.proceed);
-        // ...and surface on the next drain, ahead of newer messages.
+        // ...and surface on the next take, ahead of newer messages.
         tx.send(bid_msg(1, 2.0)).unwrap();
-        let drained = inbox.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(matches!(&drained[0], Msg::Bid(b) if b.body_unverified().processor == 0));
-        assert!(matches!(&drained[1], Msg::Bid(b) if b.body_unverified().processor == 1));
+        intake(&rx, &mut inbox);
+        assert_eq!(bid_senders(&mut inbox), vec![0, 1]);
+        assert!(inbox.is_empty());
     }
 
     #[test]
     fn inbox_take_first_scans_pending_before_channel() {
-        let (tx, rx) = unbounded();
-        let mut inbox = ProcInbox::new(rx);
+        let (tx, rx) = mpsc::channel();
+        let mut inbox = VecDeque::new();
         tx.send(Msg::Verdict(Verdict::ok())).unwrap();
         tx.send(bid_msg(3, 4.0)).unwrap();
-        // First take stashes nothing (verdict is first).
-        let _ = inbox.take_verdict();
+        // First take consumes the verdict and holds the bid back.
+        intake(&rx, &mut inbox);
+        let _ = take_verdict(&mut inbox);
         tx.send(Msg::Verdict(Verdict {
             proceed: false,
             fined: vec![(1, 5.0)],
             rewards: vec![],
         }))
         .unwrap();
-        let v = inbox.take_verdict().unwrap();
+        intake(&rx, &mut inbox);
+        let v = take_verdict(&mut inbox).unwrap();
         assert!(!v.proceed);
         // The bid survived two verdict takes.
-        let bids = inbox.take_all(|m| match m {
-            Msg::Bid(b) => Some(b.body_unverified().processor),
-            _ => None,
-        });
-        assert_eq!(bids, vec![3]);
+        assert_eq!(bid_senders(&mut inbox), vec![3]);
     }
 
     #[test]
     fn inbox_take_first_none_when_absent() {
-        let (_tx, rx) = unbounded::<Msg>();
-        let mut inbox = ProcInbox::new(rx);
-        assert!(inbox.take_verdict().is_none());
+        let (_tx, rx) = mpsc::channel::<Msg>();
+        let mut inbox = VecDeque::new();
+        intake(&rx, &mut inbox);
+        assert!(take_verdict(&mut inbox).is_none());
+        inbox.push_back(bid_msg(0, 1.0));
+        assert!(take_verdict(&mut inbox).is_none());
+        assert_eq!(inbox.len(), 1, "a miss holds every message back");
     }
 
     #[test]
     fn inbox_drops_garbage_at_receipt() {
-        let (tx, rx) = unbounded();
-        let mut inbox = ProcInbox::new(rx);
+        let (tx, rx) = mpsc::channel();
+        let mut inbox = VecDeque::new();
         tx.send(Msg::Garbage { from: 1 }).unwrap();
         tx.send(bid_msg(0, 1.0)).unwrap();
         tx.send(Msg::Garbage { from: 2 }).unwrap();
-        let drained = inbox.drain();
-        assert_eq!(drained.len(), 1);
-        assert!(matches!(&drained[0], Msg::Bid(_)));
-        // take_first also never surfaces or stashes garbage.
+        intake(&rx, &mut inbox);
+        assert_eq!(inbox.len(), 1);
+        assert!(matches!(inbox.front(), Some(Msg::Bid(_))));
+        // Later intakes never surface or hold back garbage either.
         tx.send(Msg::Garbage { from: 1 }).unwrap();
         tx.send(Msg::Verdict(Verdict::ok())).unwrap();
-        assert!(inbox.take_verdict().is_some());
-        assert!(inbox.drain().is_empty());
+        intake(&rx, &mut inbox);
+        assert!(take_verdict(&mut inbox).is_some());
+        assert_eq!(bid_senders(&mut inbox), vec![0]);
+        assert!(inbox.is_empty());
     }
 
     #[test]
@@ -2371,9 +1219,7 @@ mod tests {
         assert_eq!(removed, vec![1]);
         // Next generation completes without the removed party, well before
         // this generous deadline.
-        let removed = barrier
-            .wait_deadline_as(2, Duration::from_secs(5))
-            .unwrap();
+        let removed = barrier.wait_deadline_as(2, Duration::from_secs(5)).unwrap();
         assert!(removed.is_empty());
         assert!(live.join().unwrap().is_ok());
         // The removed party's thread, were it alive, would be told it

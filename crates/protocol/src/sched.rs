@@ -13,7 +13,7 @@
 //! deadline are removed exactly like the threaded referee removes parties
 //! still missing when `wait_deadline_as` expires. The whole chaos matrix
 //! therefore resolves in microseconds of real time while reporting the
-//! same faults, verdicts and degradation as the threaded oracle.
+//! same faults, verdicts and degradation as the threaded runtime.
 //!
 //! Also here: the fixed-pool *sharding* rule — session `s` belongs to
 //! worker `s mod workers`, no work stealing — so a batch of N sessions is

@@ -56,7 +56,7 @@
 //! and event queue in the worker's scratch arena. Which worker runs a
 //! session, when, and on which attempt is a wall-clock concern that
 //! never feeds the protocol: outcomes are bit-exact against the
-//! static-shard pooled path and the threaded oracle even when the
+//! static-shard pooled path and the threaded runtime even when the
 //! session's first worker was killed mid-job (pinned by
 //! `tests/tests/{service_differential,service_chaos}.rs`). Wall-clock
 //! enters exactly once — the [`latency`] module — and those readings are

@@ -5,6 +5,7 @@
 use dls::mechanism::{AgentSpec, Market};
 use dls::netsim::{simulate, SessionSpec};
 use dls::dlt::{optimal, BusParams};
+use dls::protocol::{run_session, run_session_vm, RunError, SessionConfig, SessionOutcome};
 use dls::{Behavior, Session, SessionStatus, SystemModel};
 
 const Z: f64 = 0.25;
@@ -35,70 +36,83 @@ fn closed_form_simulator_and_protocol_agree_on_makespan() {
     }
 }
 
+type Driver = fn(&SessionConfig) -> Result<SessionOutcome, RunError>;
+
+/// Both NCP models on both session drivers: the threaded runtime and the
+/// event-driven executor step the same round machines, so each is checked
+/// against the trusted mechanism on its own rather than against the other.
+fn protocol_runs(seed: u64) -> Vec<(String, SystemModel, SessionOutcome)> {
+    let drivers: [(&str, Driver); 2] = [("threaded", run_session), ("vm", run_session_vm)];
+    let mut runs = Vec::new();
+    for model in [SystemModel::NcpFe, SystemModel::NcpNfe] {
+        let mut s = Session::new(model, Z).seed(seed).blocks(800);
+        for w in W {
+            s = s.worker(w);
+        }
+        let cfg = s.config().unwrap();
+        for (name, run) in drivers {
+            runs.push((format!("{model}/{name}"), model, run(&cfg).unwrap()));
+        }
+    }
+    runs
+}
+
 #[test]
 fn protocol_payments_match_trusted_mechanism() {
     // The distributed payment computation must coincide with what the
     // trusted DLS-BL mechanism would pay on the same market — that is the
     // point of DLS-BL-NCP (Theorem 5.2's proof reduces to it).
-    let model = SystemModel::NcpFe;
-    let mut s = Session::new(model, Z).seed(3).blocks(800);
-    for w in W {
-        s = s.worker(w);
-    }
-    let out = s.run().unwrap();
+    for (run, model, out) in protocol_runs(3) {
+        let market = Market::new(
+            model,
+            Z,
+            W.iter().map(|&w| AgentSpec::truthful(w)).collect(),
+        )
+        .unwrap();
+        let trusted = market.run();
 
-    let market = Market::new(
-        model,
-        Z,
-        W.iter().map(|&w| AgentSpec::truthful(w)).collect(),
-    )
-    .unwrap();
-    let trusted = market.run();
-
-    for i in 0..W.len() {
-        let p = out.processors[i].payment.unwrap();
-        let t = trusted.payments[i];
-        // Block rounding (800 blocks) keeps observed rates within ~1%.
-        assert!(
-            (p.compensation - t.compensation).abs() < 0.01 * t.compensation.abs().max(0.01),
-            "P{}: compensation {} vs {}",
-            i + 1,
-            p.compensation,
-            t.compensation
-        );
-        assert!(
-            (p.bonus - t.bonus).abs() < 0.02 * t.bonus.abs().max(0.02),
-            "P{}: bonus {} vs {}",
-            i + 1,
-            p.bonus,
-            t.bonus
-        );
+        for i in 0..W.len() {
+            let p = out.processors[i].payment.unwrap();
+            let t = trusted.payments[i];
+            // Block rounding (800 blocks) keeps observed rates within ~1%.
+            assert!(
+                (p.compensation - t.compensation).abs() < 0.01 * t.compensation.abs().max(0.01),
+                "{run} P{}: compensation {} vs {}",
+                i + 1,
+                p.compensation,
+                t.compensation
+            );
+            assert!(
+                (p.bonus - t.bonus).abs() < 0.02 * t.bonus.abs().max(0.02),
+                "{run} P{}: bonus {} vs {}",
+                i + 1,
+                p.bonus,
+                t.bonus
+            );
+        }
     }
 }
 
 #[test]
 fn protocol_utilities_track_mechanism_utilities() {
-    let model = SystemModel::NcpFe;
-    let mut s = Session::new(model, Z).seed(5).blocks(800);
-    for w in W {
-        s = s.worker(w);
-    }
-    let out = s.run().unwrap();
-    let market = Market::new(
-        model,
-        Z,
-        W.iter().map(|&w| AgentSpec::truthful(w)).collect(),
-    )
-    .unwrap();
-    let trusted = market.run();
-    for i in 0..W.len() {
-        assert!(
-            (out.utility(i) - trusted.utility(i)).abs() < 0.02 * trusted.utility(i).abs().max(0.02),
-            "P{}: {} vs {}",
-            i + 1,
-            out.utility(i),
-            trusted.utility(i)
-        );
+    for (run, model, out) in protocol_runs(5) {
+        let market = Market::new(
+            model,
+            Z,
+            W.iter().map(|&w| AgentSpec::truthful(w)).collect(),
+        )
+        .unwrap();
+        let trusted = market.run();
+        for i in 0..W.len() {
+            assert!(
+                (out.utility(i) - trusted.utility(i)).abs()
+                    < 0.02 * trusted.utility(i).abs().max(0.02),
+                "{run} P{}: {} vs {}",
+                i + 1,
+                out.utility(i),
+                trusted.utility(i)
+            );
+        }
     }
 }
 

@@ -1,10 +1,13 @@
-//! Differential suite for the event-driven session executor: the threaded
-//! runtime ([`dls_protocol::run_session`]) is the oracle, and the pooled
-//! executor ([`dls_protocol::run_session_pooled_with`] /
-//! [`dls_protocol::run_session_vm`]) must reproduce every
-//! [`SessionOutcome`] **bit for bit** — allocations, payments, fines,
-//! rewards, utilities, message accounting, ledger journal, timeline, and
-//! fault-plan degradation reports.
+//! Differential suite for the two session drivers: the threaded runtime
+//! ([`dls_protocol::run_session`]) and the pooled executor
+//! ([`dls_protocol::run_session_pooled_with`] /
+//! [`dls_protocol::run_session_vm`]) step the same round machines, and
+//! must agree on every [`SessionOutcome`] **bit for bit** — allocations,
+//! payments, fines, rewards, utilities, message accounting, ledger
+//! journal, timeline, and fault-plan degradation reports. What this pins
+//! is the drivers: delivery, barriers, deadlines and delays. The protocol's
+//! own correctness is checked against independent oracles elsewhere
+//! (`end_to_end.rs` against the trusted mechanism, `adversarial.rs`).
 //!
 //! Float equality here is `to_bits` (or whole-structure `Debug` equality,
 //! which formats floats as their shortest round-trip representation and is

@@ -59,7 +59,7 @@ fn shipped_baseline_is_empty() {
 #[test]
 fn all_analysis_passes_run_on_the_workspace() {
     // Each pass activates only when its scoped files are present; a rename
-    // of executor.rs/runtime.rs/biguint.rs must not silently disable a pass.
+    // of round.rs/runtime.rs/biguint.rs must not silently disable a pass.
     let report = dls_lint::scan_workspace(workspace_root()).expect("scan runs");
     for pass in dls_lint::passes::PASS_NAMES {
         assert!(
