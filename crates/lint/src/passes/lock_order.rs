@@ -1,20 +1,24 @@
-//! Lock-order pass: static deadlock-freedom for the threaded runtime.
+//! Lock-order pass: static deadlock-freedom for the threaded runtime and
+//! the session service.
 //!
-//! The threaded runtime's phase barriers (`PhaseBarrier` = one `Mutex` +
-//! `Condvar`) and the shared caches only stay deadlock-free as long as no
-//! two threads acquire the same pair of locks in opposite orders. Today
-//! the nesting is tiny — `Net::broadcast` holds `bcast` while `record`
-//! takes `stats` — but the survivor re-solve and multi-load roadmap items
-//! add lock sites faster than anyone re-audits them by hand.
+//! Every lock in scope is a `std::sync::Mutex`: the threaded runtime's
+//! wire and phase barrier (`PhaseBarrier` = one `Mutex` + `Condvar`), the
+//! round's key and data-set caches, and the service's per-worker queues,
+//! results table, in-progress registry and parking mutexes. The nesting
+//! today is tiny: the service takes each queue lock alone, and a steal
+//! drains the victim under the victim's lock before it touches the
+//! thief's queue. The pass keeps it that way as lock sites are added.
 //!
 //! The pass extracts, per function, the sequence of `<lock>.lock()`
-//! acquisitions plus calls into other scoped functions, closes the call
-//! graph transitively, and builds the *held-before* graph: an edge
-//! `A -> B` whenever `B` is (or may be, through a callee) acquired while
-//! `A` is held. A cycle in that graph is a potential deadlock and fails
-//! the gate. It also flags a condvar `wait`/`wait_for` reached while more
-//! than one lock is held — the barrier protocol parks with exactly its own
-//! state lock.
+//! acquisitions (the lock is the identifier before `.lock`, or the field
+//! of a `<field>.get(i)?.lock()` element access) plus calls into other
+//! scoped functions, closes the call graph transitively, and builds the
+//! *held-before* graph: an edge `A -> B` whenever `B` is (or may be,
+//! through a callee) acquired while `A` is held. A cycle in that graph is
+//! a potential deadlock and fails the gate. It also flags a condvar
+//! `wait`/`wait_while`/`wait_timeout`/`wait_timeout_while` reached while
+//! more than one lock is held: every wait parks with exactly its own
+//! mutex.
 //!
 //! Over-approximations (documented, deliberate): a guard is assumed held
 //! until the end of its function (drops are invisible lexically), locks
@@ -23,7 +27,7 @@
 //! the cache double-checked-init pattern — is not nesting).
 
 use crate::diag::Diagnostic;
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 use crate::rules::{match_brace, LOCK_ORDER};
 use crate::SourceFile;
 
@@ -244,18 +248,16 @@ fn extract_fns(file_idx: usize, sf: &SourceFile, out: &mut Vec<FnInfo>) {
                 continue;
             }
             match text(j) {
-                // `<owner>.lock()` — the lock is the ident before `.lock`.
                 "lock" if text(j.wrapping_sub(1)) == "." && text(j + 1) == "(" => {
-                    if j >= 2 && toks[j - 2].kind == TokenKind::Ident {
-                        let lock = text(j - 2).to_string();
+                    if let Some(lock) = receiver(toks, j) {
                         if !held_names.contains(&lock) {
                             held_names.push(lock.clone());
                         }
                         info.acquires.push((lock, j, toks[j].line));
                     }
                 }
-                // Condvar waits (parking_lot: wait / wait_for / wait_while).
-                "wait" | "wait_for" | "wait_while"
+                // `std::sync::Condvar` waits.
+                "wait" | "wait_while" | "wait_timeout" | "wait_timeout_while"
                     if text(j.wrapping_sub(1)) == "." && text(j + 1) == "(" =>
                 {
                     info.waits.push((held_names.len(), toks[j].line, toks[j].col));
@@ -271,6 +273,35 @@ fn extract_fns(file_idx: usize, sf: &SourceFile, out: &mut Vec<FnInfo>) {
         out.push(info);
         i = close.saturating_add(1);
     }
+}
+
+/// Names the lock a `.lock()` at token `j` acquires: the identifier before
+/// `.lock` (`self.table.lock()` → `table`), or the field an element is
+/// fetched from (`self.queues.get(w)?.lock()` → `queues`, walking back over
+/// the `?`, the balanced call and its method). `None` for other receivers.
+fn receiver(toks: &[Token], j: usize) -> Option<String> {
+    let text = |k: usize| toks.get(k).map_or("", |t| t.text.as_str());
+    let mut k = j.checked_sub(2)?;
+    if text(k) == "?" {
+        let mut depth = 0usize;
+        loop {
+            k = k.checked_sub(1)?;
+            depth = match text(k) {
+                ")" => depth + 1,
+                "(" => depth.checked_sub(1)?,
+                _ => depth,
+            };
+            if depth == 0 {
+                break;
+            }
+        }
+        if text(k) != "(" || text(k.checked_sub(2)?) != "." {
+            return None;
+        }
+        k = k.checked_sub(3)?;
+    }
+    let tok = toks.get(k)?;
+    (tok.kind == TokenKind::Ident).then(|| tok.text.clone())
 }
 
 /// Finds cycles in the held-before graph and reports one diagnostic per

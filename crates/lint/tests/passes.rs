@@ -130,7 +130,7 @@ fn state_machine_flags_missing_enum() {
 fn lock_order_flags_cycles_and_multi_hold_waits() {
     let report = run("crates/protocol/src/runtime.rs", "lock_cycle.rs");
     let msgs: Vec<&str> = report.diagnostics.iter().map(|d| d.message.as_str()).collect();
-    assert_eq!(msgs.len(), 3, "{msgs:#?}");
+    assert_eq!(msgs.len(), 5, "{msgs:#?}");
     assert!(
         msgs.iter().any(|m| m.contains("lock-order cycle")
             && m.contains("bcast")
@@ -144,9 +144,18 @@ fn lock_order_flags_cycles_and_multi_hold_waits() {
         "direct-call cycle via helper/inner: {msgs:#?}"
     );
     assert!(
-        msgs.iter().any(|m| m.contains("condvar wait") && m.contains("2 locks")),
-        "{msgs:#?}"
+        msgs.iter().any(|m| m.contains("lock-order cycle")
+            && m.contains("queues")
+            && m.contains("running")),
+        "cycle through `queues.get(i)?.lock()`: {msgs:#?}"
     );
+    for f in ["`park`", "`park_timed`"] {
+        assert!(
+            msgs.iter()
+                .any(|m| m.contains("condvar wait") && m.contains(f) && m.contains("2 locks")),
+            "{f}: {msgs:#?}"
+        );
+    }
 }
 
 #[test]

@@ -29,11 +29,10 @@ use crate::runtime::{missing, MessageStats, ProtocolViolation, RunError};
 use dls_crypto::pki::{KeyPair, Registry, SignatureError};
 use dls_crypto::{Signed, VerifyCache};
 use dls_dlt::{BusParams, SystemModel};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 // ---------------------------------------------------------------------------
 // The schedule
@@ -332,7 +331,7 @@ pub(crate) fn generate_keys_cached(
     let mut misses: Vec<(usize, String)> = Vec::new();
     let mut out: Vec<Option<KeyPair>> = vec![None; identities.len()];
     {
-        let mut guard = CACHE.lock();
+        let mut guard = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
         let cache = guard.get_or_insert_with(Cache::new);
         for (idx, (slot, id)) in out.iter_mut().zip(identities).enumerate() {
             match cache.get(&(id.clone(), bits, seed)) {
@@ -378,7 +377,7 @@ pub(crate) fn generate_keys_cached(
                     })
                     .collect()
             });
-        let mut guard = CACHE.lock();
+        let mut guard = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
         let cache = guard.get_or_insert_with(Cache::new);
         for (idx, kp) in generated? {
             let kp = kp?;
@@ -408,6 +407,7 @@ pub(crate) fn dataset_cached(
     static CACHE: Mutex<Option<Cache>> = Mutex::new(None);
     if let Some(ds) = CACHE
         .lock()
+        .unwrap_or_else(PoisonError::into_inner)
         .get_or_insert_with(Cache::new)
         .get(&(seed, key_bits, blocks))
     {
@@ -420,6 +420,7 @@ pub(crate) fn dataset_cached(
         Arc::new(DataSet::prepare(user, blocks, 32).map_err(|e| RunError::Crypto(e.to_string()))?);
     CACHE
         .lock()
+        .unwrap_or_else(PoisonError::into_inner)
         .get_or_insert_with(Cache::new)
         .insert((seed, key_bits, blocks), Arc::clone(&ds));
     Ok(ds)
@@ -1425,27 +1426,27 @@ impl RefereeMachine {
                 _ => {}
             }
         }
+        // Each vector is verified once; `None` marks one whose signature
+        // fails or that is not signed by the processor it speaks for.
         let registry = self.referee.registry();
-        let mut delivered = BTreeSet::new();
-        for sv in &self.vectors {
-            if let Ok(body) = verify_profiled(sv, registry, &ctx.verify_cache, ctx.profile) {
-                if sv.signer() == format!("P{}", body.processor + 1) && body.processor < ctx.m {
-                    delivered.insert(body.processor);
-                }
-            }
-        }
+        let bodies: Vec<Option<&PaymentVectorBody>> = self
+            .vectors
+            .iter()
+            .map(|sv| {
+                verify_profiled(sv, registry, &ctx.verify_cache, ctx.profile)
+                    .ok()
+                    .filter(|b| {
+                        b.processor < ctx.m && sv.signer() == format!("P{}", b.processor + 1)
+                    })
+            })
+            .collect();
+        let delivered: BTreeSet<usize> = bodies.iter().flatten().map(|b| b.processor).collect();
         self.watch.sweep(Phase::Payments, &delivered);
         self.result.delivered_vectors = delivered;
 
-        let agreed_q = vectors_all_equal(
-            &self.vectors,
-            ctx.m,
-            registry,
-            &ctx.verify_cache,
-            ctx.profile,
-        )
-        .then(|| self.vectors.first().map(|v| v.body_unverified().q.clone()))
-        .flatten();
+        let agreed_q = vectors_all_equal(&bodies, ctx.m)
+            .then(|| bodies.first().copied().flatten().map(|b| b.q.clone()))
+            .flatten();
         match agreed_q {
             Some(q) => {
                 self.result.final_q = Some(q);
@@ -1544,18 +1545,14 @@ fn merge_defaults(
     (referee.verdict_for(&deviants, true), strategic_fines)
 }
 
-/// Equality check across submitted payment vectors: requires a verified
-/// vector from each of the `m` processors, all numerically equal.
-fn vectors_all_equal(
-    vectors: &[Signed<PaymentVectorBody>],
-    m: usize,
-    registry: &Registry,
-    cache: &VerifyCache,
-    profile: CryptoProfile,
-) -> bool {
+/// Equality check across submitted payment vectors, given each one's
+/// verified body (`None` where the signature or the signer rule failed):
+/// requires exactly one valid vector from each of the `m` processors, all
+/// numerically equal. Any invalid vector means no agreement.
+fn vectors_all_equal(bodies: &[Option<&PaymentVectorBody>], m: usize) -> bool {
     let mut per_proc: Vec<Option<&PaymentVectorBody>> = vec![None; m];
-    for sv in vectors {
-        let Ok(body) = verify_profiled(sv, registry, cache, profile) else {
+    for body in bodies {
+        let Some(body) = *body else {
             return false;
         };
         // `get_mut` rejects out-of-range indices; duplicates also fail.
@@ -1612,4 +1609,36 @@ fn verify_bid_view(
         *slot = body.bid;
     }
     Some(bids)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dls_crypto::rsa::MIN_MODULUS_BITS;
+
+    #[test]
+    fn vector_signed_for_a_silent_processor_blocks_agreement() {
+        // P3 stays silent and P2 fills its slot with a vector P2 signed:
+        // the three equal vectors must not count as agreed.
+        let cfg = SessionConfig::builder(SystemModel::NcpFe, 1.0)
+            .processors([2.0, 3.0, 4.0].map(|w| ProcessorConfig::new(w, Behavior::Compliant)))
+            .key_bits(MIN_MODULUS_BITS)
+            .build()
+            .unwrap();
+        let round = setup(&cfg, &[0, 1, 2]).unwrap();
+        let mut inbox: Vec<(usize, Msg)> = [(0, 0), (1, 1), (1, 2)]
+            .map(|(signer, processor)| {
+                let (key, q) = (&round.machines[signer].key, Vec::new());
+                let sv = key.sign(PaymentVectorBody { processor, q }).unwrap();
+                (signer, Msg::PaymentVector(sv))
+            })
+            .into();
+        let (ctx, mut referee, mut out) = (round.ctx, round.referee, Vec::new());
+        referee.check_payments(&ctx, &mut inbox, &mut out);
+        assert!(matches!(
+            out.as_slice(),
+            [Outgoing::Broadcast(Msg::BidRequest)]
+        ));
+        assert_eq!(referee.result.delivered_vectors, BTreeSet::from([0, 1]));
+    }
 }

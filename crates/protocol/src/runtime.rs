@@ -51,11 +51,11 @@ use crate::round::{
 };
 use dls_dlt::{BusParams, SystemModel};
 use dls_netsim::{simulate, SessionSpec as NetSessionSpec, Timeline};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::time::{Duration, Instant};
+use std::sync::{Condvar, Mutex, PoisonError};
+use std::time::Duration;
 
 /// Which actor a failure is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -394,7 +394,7 @@ impl Net {
     /// Delivers everything party `from` just sent, in send order.
     fn deliver(&self, from: usize, outbox: &mut Vec<Outgoing>) {
         for out in outbox.drain(..) {
-            let mut stats = self.wire.lock();
+            let mut stats = self.wire.lock().unwrap_or_else(PoisonError::into_inner);
             out.deliver(
                 self.proc_txs.len(),
                 from,
@@ -482,7 +482,7 @@ impl PhaseBarrier {
     /// removed at a deadline gets [`ViolationKind::Defaulted`], which its
     /// thread treats as "stop participating", not as a session failure.
     fn wait_as(&self, id: usize) -> Result<(), RunError> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(v) = &st.aborted {
             return Err(RunError::Protocol(v.clone()));
         }
@@ -500,9 +500,10 @@ impl PhaseBarrier {
             return Ok(());
         }
         let generation = st.generation;
-        while st.generation == generation && st.aborted.is_none() {
-            self.cvar.wait(&mut st);
-        }
+        let st = self
+            .cvar
+            .wait_while(st, |s| s.generation == generation && s.aborted.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
         match &st.aborted {
             Some(v) => Err(RunError::Protocol(v.clone())),
             None => Ok(()),
@@ -512,16 +513,16 @@ impl PhaseBarrier {
     /// Deadline-bounded wait. Returns the (possibly empty) list of parties
     /// that were **removed** because they had not arrived when the budget
     /// expired. Removal happens under the same lock acquisition that
-    /// computed the missing set, so a party arriving concurrently with the
+    /// observed the timeout, so a party arriving concurrently with the
     /// timeout can never be removed retroactively: either it arrived
     /// (and is not missing) or it is removed (and its next `wait_as`
     /// reports it defaulted).
+    ///
+    /// `budget` is a real wall-clock deadline, measured from this call;
+    /// `wait_timeout_while` keeps it across spurious wakeups. The virtual
+    /// executor mirrors it in virtual time (`sched::VirtualClock`).
     fn wait_deadline_as(&self, id: usize, budget: Duration) -> Result<Vec<usize>, RunError> {
-        // The threaded runtime enforces real wall-clock budgets; the virtual
-        // executor mirrors them in VirtualClock.
-        // dls-lint: allow(determinism) -- real phase deadline in the threaded runtime
-        let deadline = Instant::now() + budget;
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(v) = &st.aborted {
             return Err(RunError::Protocol(v.clone()));
         }
@@ -532,40 +533,41 @@ impl PhaseBarrier {
             return Ok(Vec::new());
         }
         let generation = st.generation;
-        loop {
-            if st.generation != generation {
-                return Ok(Vec::new());
-            }
-            if let Some(v) = &st.aborted {
-                return Err(RunError::Protocol(v.clone()));
-            }
-            // dls-lint: allow(determinism) -- re-read of the same real deadline clock
-            let now = Instant::now();
-            if now >= deadline {
-                let missing: Vec<usize> = st
-                    .active
-                    .iter()
-                    .zip(&st.arrived)
-                    .enumerate()
-                    .filter(|(_, (active, arrived))| **active && !**arrived)
-                    .map(|(idx, _)| idx)
-                    .collect();
-                for &idx in &missing {
-                    if let Some(a) = st.active.get_mut(idx) {
-                        *a = false;
-                    }
-                }
-                Self::release_if_complete(&mut st, &self.cvar);
-                return Ok(missing);
-            }
-            let _ = self.cvar.wait_for(&mut st, deadline - now);
+        let (mut st, _) = self
+            .cvar
+            .wait_timeout_while(st, budget, |s| {
+                s.generation == generation && s.aborted.is_none()
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        if st.generation != generation {
+            return Ok(Vec::new());
         }
+        if let Some(v) = &st.aborted {
+            return Err(RunError::Protocol(v.clone()));
+        }
+        // The budget expired with the generation still open: remove the
+        // missing parties under this same guard.
+        let missing: Vec<usize> = st
+            .active
+            .iter()
+            .zip(&st.arrived)
+            .enumerate()
+            .filter(|(_, (active, arrived))| **active && !**arrived)
+            .map(|(idx, _)| idx)
+            .collect();
+        for &idx in &missing {
+            if let Some(a) = st.active.get_mut(idx) {
+                *a = false;
+            }
+        }
+        Self::release_if_complete(&mut st, &self.cvar);
+        Ok(missing)
     }
 
     /// Marks the session aborted (first violation wins) and wakes all
     /// waiters.
     fn abort(&self, violation: ProtocolViolation) {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if st.aborted.is_none() {
             st.aborted = Some(violation);
         }
@@ -939,7 +941,11 @@ fn run_round(cfg: &SessionConfig, active: &[usize]) -> Result<RoundOutput, RunEr
     });
     let proc_results = proc_results.into_iter().collect::<Result<Vec<_>, _>>()?;
     let rr = rr?;
-    let messages = net.wire.lock().clone();
+    let messages = net
+        .wire
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
     Ok(RoundOutput {
         procs,
         proc_results,
@@ -1229,6 +1235,34 @@ mod tests {
             err,
             RunError::Protocol(ref v) if v.kind == ViolationKind::Defaulted
         ));
+    }
+
+    #[test]
+    fn phase_barrier_recovers_from_a_panic_under_its_lock() {
+        // Each helper thread panics holding the barrier state; with `abort`
+        // it unwinds through `AbortOnPanic`, which locks the poisoned state.
+        let barrier = Arc::new(PhaseBarrier::new(2));
+        let panic_under_lock = |abort: bool| {
+            let b = Arc::clone(&barrier);
+            let t = std::thread::spawn(move || {
+                let _abort = abort.then(|| AbortOnPanic(&b));
+                let _st = b.state.lock().unwrap_or_else(PoisonError::into_inner);
+                panic!("fixture panic under the barrier lock");
+            });
+            assert!(t.join().is_err() && barrier.state.is_poisoned());
+        };
+        panic_under_lock(false);
+        let removed = barrier.wait_deadline_as(1, Duration::from_millis(20));
+        assert_eq!(removed.unwrap(), vec![0]);
+        assert!(barrier.wait_as(1).is_ok(), "the lone survivor passes");
+        panic_under_lock(true);
+        let panicked = |r: Result<(), RunError>| {
+            matches!(r, Err(RunError::Protocol(v))
+                if v.kind == ViolationKind::ActorPanicked(ActorRole::Actor))
+        };
+        assert!(panicked(barrier.wait_as(1)));
+        let timed = barrier.wait_deadline_as(1, Duration::from_secs(5));
+        assert!(panicked(timed.map(drop)));
     }
 
     #[test]

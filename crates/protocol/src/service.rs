@@ -78,10 +78,9 @@ use crate::config::SessionConfig;
 use crate::executor::{drive_session, drive_session_caught, VmScratch};
 use crate::runtime::{ProtocolViolation, RunError, SessionOutcome};
 use crate::supervisor::{CompiledPlan, Counters, DeathWatch, ServiceFaultPlan, ServiceStats, Slot};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -500,7 +499,7 @@ impl Shared {
             self.queues.len()
         );
         if let Some(q) = self.queues.get(target) {
-            q.lock().push_back(job);
+            q.lock().unwrap_or_else(PoisonError::into_inner).push_back(job);
         }
         if let Some(len) = self.queue_lens.get(target) {
             let depth = len.fetch_add(1, Ordering::AcqRel).saturating_add(1);
@@ -538,7 +537,7 @@ impl Shared {
         {
             return None;
         }
-        let job = self.queues.get(w)?.lock().pop_front();
+        let job = self.queues.get(w)?.lock().unwrap_or_else(PoisonError::into_inner).pop_front();
         if job.is_some() {
             if let Some(len) = self.queue_lens.get(w) {
                 len.fetch_sub(1, Ordering::AcqRel);
@@ -572,7 +571,7 @@ impl Shared {
             .map(|(_, i)| i)?;
 
         let mut stolen: VecDeque<Arc<Job>> = {
-            let mut q = self.queues.get(victim)?.lock();
+            let mut q = self.queues.get(victim)?.lock().unwrap_or_else(PoisonError::into_inner);
             let n = q.len();
             if n == 0 {
                 return None;
@@ -594,7 +593,7 @@ impl Shared {
         if !stolen.is_empty() {
             let rest = stolen.len();
             if let Some(q) = self.queues.get(w) {
-                q.lock().append(&mut stolen);
+                q.lock().unwrap_or_else(PoisonError::into_inner).append(&mut stolen);
             }
             if let Some(len) = self.queue_lens.get(w) {
                 len.fetch_add(rest, Ordering::AcqRel);
@@ -608,10 +607,7 @@ impl Shared {
 
     /// Marks a freshly issued ticket pending (accepted, unresolved).
     fn mark_pending(&self, ticket: u64) {
-        {
-            let mut table = self.table.lock();
-            table.pending.insert(ticket);
-        }
+        self.table.lock().unwrap_or_else(PoisonError::into_inner).pending.insert(ticket);
         self.in_flight.fetch_add(1, Ordering::AcqRel);
     }
 
@@ -620,7 +616,7 @@ impl Shared {
     fn cancel_queued(&self, target: usize, ticket: u64) -> bool {
         let removed = match self.queues.get(target) {
             Some(q) => {
-                let mut q = q.lock();
+                let mut q = q.lock().unwrap_or_else(PoisonError::into_inner);
                 let before = q.len();
                 q.retain(|j| j.ticket != ticket);
                 before != q.len()
@@ -637,17 +633,14 @@ impl Shared {
 
     /// Un-accepts a cancelled ticket (pairs with `mark_pending`).
     fn unmark_pending(&self, ticket: u64) {
-        {
-            let mut table = self.table.lock();
-            table.pending.remove(&ticket);
-        }
+        self.table.lock().unwrap_or_else(PoisonError::into_inner).pending.remove(&ticket);
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Registers a popped job in the in-progress registry so the
     /// supervisor can recover it if this worker dies mid-run.
     fn note_running(&self, job: &Arc<Job>, w: usize) {
-        let mut running = self.running.lock();
+        let mut running = self.running.lock().unwrap_or_else(PoisonError::into_inner);
         running.insert(
             job.ticket,
             Running {
@@ -659,13 +652,12 @@ impl Shared {
 
     /// Drops a ticket's in-progress registration, if any.
     fn forget_running(&self, ticket: u64) {
-        let mut running = self.running.lock();
-        running.remove(&ticket);
+        self.running.lock().unwrap_or_else(PoisonError::into_inner).remove(&ticket);
     }
 
     /// `true` when no popped job is awaiting publication.
     pub(crate) fn running_empty(&self) -> bool {
-        self.running.lock().is_empty()
+        self.running.lock().unwrap_or_else(PoisonError::into_inner).is_empty()
     }
 
     /// Publishes a resolution for `ticket`, exactly once: the `pending`
@@ -677,7 +669,7 @@ impl Shared {
     fn publish(&self, done: Completed) {
         let ticket = done.ticket;
         let fresh = {
-            let mut table = self.table.lock();
+            let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
             if table.pending.remove(&ticket) {
                 if let Some(cap) = self.results_capacity {
                     while table.done.len() >= cap.max(1) {
@@ -710,23 +702,25 @@ impl Shared {
         self.results_cv.notify_all();
     }
 
+    /// The queue whose front job has the smallest ticket, if any job is
+    /// queued. Each queue lock is taken alone and released before the
+    /// next.
+    fn oldest_queue(&self) -> Option<usize> {
+        self.queues
+            .iter()
+            .enumerate()
+            .filter_map(|(i, q)| {
+                q.lock().unwrap_or_else(PoisonError::into_inner).front().map(|j| (j.ticket, i))
+            })
+            .min()
+            .map(|(_, i)| i)
+    }
+
     /// Sheds the oldest queued job (smallest front ticket across queues)
     /// and resolves its ticket as [`ServiceError::Shed`]. Best-effort
     /// under races: if every queue drained meanwhile, sheds nothing.
     fn shed_oldest(&self, capacity: usize) {
-        let victim = {
-            let mut best: Option<(u64, usize)> = None;
-            for (i, q) in self.queues.iter().enumerate() {
-                let front = q.lock().front().map(|j| j.ticket);
-                if let Some(t) = front {
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, i));
-                    }
-                }
-            }
-            best
-        };
-        let Some((_, qi)) = victim else { return };
+        let Some(qi) = self.oldest_queue() else { return };
         let Some(job) = self.pop_local(qi) else { return };
         self.stats.sheds.fetch_add(1, Ordering::Relaxed);
         self.publish(Completed {
@@ -747,7 +741,7 @@ impl Shared {
     /// spurious or early wakeups can only lengthen the total wait.
     fn admit_block(&self, capacity: usize, timeout: Duration) -> Result<(), SubmitError> {
         let mut remaining = timeout;
-        let mut guard = self.admit_mx.lock();
+        let mut guard = self.admit_mx.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 return Err(SubmitError::ShutDown);
@@ -761,7 +755,9 @@ impl Shared {
                 return Err(SubmitError::AdmissionTimeout { queued, capacity });
             }
             let slice = remaining.min(Duration::from_millis(10));
-            let res = self.admit_cv.wait_for(&mut guard, slice);
+            let waited = self.admit_cv.wait_timeout(guard, slice);
+            let (next, res) = waited.unwrap_or_else(PoisonError::into_inner);
+            guard = next;
             if res.timed_out() {
                 remaining = remaining.saturating_sub(slice);
             }
@@ -773,10 +769,10 @@ impl Shared {
     /// publish path discards the duplicate if the supervisor already
     /// confiscated and re-ran it elsewhere.
     fn stall_park(&self) {
-        let mut guard = self.stall_mx.lock();
+        let mut guard = self.stall_mx.lock().unwrap_or_else(PoisonError::into_inner);
         while !self.shutdown.load(Ordering::SeqCst) {
-            self.stall_cv
-                .wait_for(&mut guard, Duration::from_millis(10));
+            let waited = self.stall_cv.wait_timeout(guard, Duration::from_millis(10));
+            guard = waited.unwrap_or_else(PoisonError::into_inner).0;
         }
     }
 
@@ -868,14 +864,13 @@ impl Shared {
                 watch.disarm();
                 return;
             }
-            let mut guard = self.idle_mx.lock();
+            let guard = self.idle_mx.lock().unwrap_or_else(PoisonError::into_inner);
             // Re-check under the lock: a submit may have landed between
             // the empty scan above and taking the lock. The bounded wait
             // is a backstop against the remaining notify race; it costs
             // at most one timeout of idle latency, never a hang.
             if self.queued_total() == 0 && !self.shutdown.load(Ordering::SeqCst) {
-                self.idle_cv
-                    .wait_for(&mut guard, Duration::from_millis(10));
+                let _ = self.idle_cv.wait_timeout(guard, Duration::from_millis(10));
             }
         }
     }
@@ -883,8 +878,7 @@ impl Shared {
     /// Drains thread handles accumulated so far (initial spawns plus any
     /// supervisor respawns).
     fn take_handles(&self) -> Vec<JoinHandle<()>> {
-        let mut handles = self.handles.lock();
-        handles.split_off(0)
+        self.handles.lock().unwrap_or_else(PoisonError::into_inner).split_off(0)
     }
 
     /// Pops one queued job from any queue (shutdown inline drain).
@@ -895,9 +889,8 @@ impl Shared {
     /// Confiscates every in-progress registration (shutdown inline drain;
     /// the per-worker variant lives in the supervisor).
     fn confiscate_all_running(&self) -> Vec<Arc<Job>> {
-        let mut running = self.running.lock();
-        let drained = std::mem::take(&mut *running);
-        drained.into_values().map(|r| r.job).collect()
+        let mut running = self.running.lock().unwrap_or_else(PoisonError::into_inner);
+        std::mem::take(&mut *running).into_values().map(|r| r.job).collect()
     }
 
     /// Runs one job in the calling thread and publishes its resolution
@@ -1099,15 +1092,14 @@ impl ServiceHandle {
     /// bounded ring) — the disclosure trail for
     /// [`ServiceConfig::results_capacity`].
     pub fn recent_evictions(&self) -> Vec<u64> {
-        let table = self.shared.table.lock();
+        let table = self.shared.table.lock().unwrap_or_else(PoisonError::into_inner);
         table.evicted.iter().copied().collect()
     }
 
     /// Takes a finished session without blocking. `None` if the ticket is
     /// unknown, still pending, already taken, or evicted.
     pub fn try_take(&self, ticket: u64) -> Option<Completed> {
-        let mut table = self.shared.table.lock();
-        table.done.remove(&ticket)
+        self.shared.table.lock().unwrap_or_else(PoisonError::into_inner).done.remove(&ticket)
     }
 
     /// Blocks until `ticket` resolves and takes its result. Returns
@@ -1118,7 +1110,7 @@ impl ServiceHandle {
         if ticket >= self.shared.next_ticket.load(Ordering::Acquire) {
             return None;
         }
-        let mut table = self.shared.table.lock();
+        let mut table = self.shared.table.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(done) = table.done.remove(&ticket) {
                 return Some(done);
@@ -1127,9 +1119,8 @@ impl ServiceHandle {
                 // Consumed, evicted, or cancelled — it is not coming back.
                 return None;
             }
-            self.shared
-                .results_cv
-                .wait_for(&mut table, Duration::from_millis(10));
+            let waited = self.shared.results_cv.wait_timeout(table, Duration::from_millis(10));
+            table = waited.unwrap_or_else(PoisonError::into_inner).0;
         }
     }
 
@@ -1257,7 +1248,7 @@ mod tests {
             .map(|s| svc.submit(cfg(20 + s)).expect("admitted"))
             .collect();
         svc.shutdown();
-        let table = svc.shared.table.lock();
+        let table = svc.shared.table.lock().unwrap_or_else(PoisonError::into_inner);
         for t in tickets {
             assert!(table.done.contains_key(&t), "ticket {t} not drained");
         }

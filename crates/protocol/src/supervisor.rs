@@ -36,7 +36,7 @@
 use crate::service::Shared;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 
 /// One deterministic service-level fault.
@@ -347,7 +347,7 @@ impl Shared {
     }
 
     fn add_handle(&self, h: JoinHandle<()>) {
-        let mut handles = self.handles.lock();
+        let mut handles = self.handles.lock().unwrap_or_else(PoisonError::into_inner);
         handles.push(h);
     }
 
@@ -430,7 +430,7 @@ impl Shared {
     /// `w` (the worker is dead or declared stalled; its registrations
     /// are orphans).
     fn confiscate(&self, w: usize) -> Vec<Arc<crate::service::Job>> {
-        let mut running = self.running.lock();
+        let mut running = self.running.lock().unwrap_or_else(PoisonError::into_inner);
         let tickets: Vec<u64> = running
             .iter()
             .filter(|(_, r)| r.worker == w)
@@ -452,7 +452,7 @@ impl Shared {
         {
             return true;
         }
-        let running = self.running.lock();
+        let running = self.running.lock().unwrap_or_else(PoisonError::into_inner);
         running.values().any(|r| r.worker == w)
     }
 
@@ -461,7 +461,7 @@ impl Shared {
     /// workers don't block worker exit; they are recovered by the
     /// supervisor or by shutdown's inline drain.
     pub(crate) fn no_live_running(&self) -> bool {
-        let running = self.running.lock();
+        let running = self.running.lock().unwrap_or_else(PoisonError::into_inner);
         running.values().all(|r| !self.slot_alive(r.worker))
     }
 
@@ -561,8 +561,8 @@ impl Shared {
             {
                 return;
             }
-            let mut guard = self.sup_mx.lock();
-            self.sup_cv.wait_for(&mut guard, self.tick);
+            let guard = self.sup_mx.lock().unwrap_or_else(PoisonError::into_inner);
+            let _ = self.sup_cv.wait_timeout(guard, self.tick);
         }
     }
 }
